@@ -48,7 +48,7 @@ runAtThreads(Operation *module, unsigned threads)
                          std::chrono::steady_clock::now() - start)
                          .count();
     result.evaluations = engine.numEvaluations();
-    result.materializations = engine.numMaterializations();
+    result.materializations = engine.stats().materializations;
     result.frontier = std::move(frontier);
     return result;
 }

@@ -28,13 +28,17 @@ main()
                 static_cast<long long>(baseline.resources.dsp));
 
     // Automated DSE under the edge-device budget (paper Section V-E).
-    DesignSpaceOptions space;
-    space.maxTileSize = 16;
-    space.maxTotalUnroll = 128;
-    DSEOptions options;
-    options.numInitialSamples = 60;
-    options.maxIterations = 120;
-    auto result = compiler.optimize(xc7z020(), space, options);
+    ExploreRequest request;
+    request.budgetSpec = "xc7z020";
+    request.space.maxTileSize = 16;
+    request.space.maxTotalUnroll = 128;
+    request.dse.numInitialSamples = 60;
+    request.dse.maxIterations = 120;
+    if (auto error = request.validate()) {
+        std::printf("bad request: %s\n", error->c_str());
+        return 1;
+    }
+    auto result = compiler.optimize(request);
     if (!result) {
         std::printf("DSE found no feasible design\n");
         return 1;
@@ -47,7 +51,7 @@ main()
                 static_cast<double>(baseline.latency) /
                     static_cast<double>(optimized.latency),
                 static_cast<long long>(optimized.resources.dsp),
-                result->evaluations, result->seconds);
+                result->stats.evaluations, result->seconds);
 
     // Check against the downstream (virtual) HLS tool and emit C++.
     SynthesisReport report = compiler.synthesize(xc7z020());

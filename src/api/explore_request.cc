@@ -148,16 +148,10 @@ parseExploreFlag(ExploreRequest &request, const std::string &arg,
         set_unsigned(request.dse.numInitialSamples);
     } else if (name == "-dse-iterations") {
         set_unsigned(request.dse.maxIterations);
-    } else if (name == "-dse-cache") {
-        set_bool(request.dse.crossPointCache);
     } else if (name == "-dse-band-cache") {
         set_bool(request.dse.bandLevelCache);
     } else if (name == "-dse-partition-keys") {
         set_bool(request.dse.partitionAwareBandKeys);
-    } else if (name == "-dse-incremental") {
-        set_bool(request.dse.incrementalMaterialize);
-    } else if (name == "-dse-dataflow-fastpath") {
-        set_bool(request.space.dataflowFastPath);
     } else if (name == "-dse-cache-cap") {
         request.cacheCapSpec = value;
     } else if (name == "-cache-load" || name == "--cache-load") {
@@ -236,11 +230,8 @@ exploreRequestFromJson(ExploreRequest &request, const JsonValue &object)
     count("samples", request.dse.numInitialSamples);
     count("iterations", request.dse.maxIterations);
     count("batch", request.dse.batchSize);
-    flag("cache", request.dse.crossPointCache);
     flag("band_cache", request.dse.bandLevelCache);
     flag("partition_keys", request.dse.partitionAwareBandKeys);
-    flag("incremental", request.dse.incrementalMaterialize);
-    flag("dataflow_fastpath", request.space.dataflowFastPath);
     flag("audit", request.dse.auditMode);
     str("cache_cap", request.cacheCapSpec);
     return error;
@@ -269,17 +260,10 @@ exploreFlagUsage()
            "  -dse-seed=<n>     DSE random seed\n"
            "  -dse-samples=<n>  step-1 random samples (default 120)\n"
            "  -dse-iterations=<n>  step-4 proposal budget (default 400)\n"
-           "  -dse-cache=<0|1>  cross-point estimate cache (default 1;\n"
-           "                    content-keyed, never changes results)\n"
            "  -dse-band-cache=<0|1>  band-level estimate-cache tier\n"
            "                    (default 1)\n"
            "  -dse-partition-keys=<0|1>  partition-aware band keys\n"
            "                    (default 1)\n"
-           "  -dse-incremental=<0|1>  band-incremental materialization\n"
-           "                    (default 1; validated, bit-identical)\n"
-           "  -dse-dataflow-fastpath=<0|1>  extend the fast path to\n"
-           "                    dataflow-top / alloc-carrying functions\n"
-           "                    (default 1; validated, bit-identical)\n"
            "  -dse-cache-cap=<n|f:b:s:p>  max entries per estimate-\n"
            "                    cache tier (LRU eviction; default 0 =\n"
            "                    unbounded)\n"

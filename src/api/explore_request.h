@@ -82,19 +82,18 @@ struct ExploreRequest
  * diagnostic and still returns true (the flag WAS an explore flag).
  *
  * Flags: -dse-budget, -dse-model, -dse-graph-level, -dse-threads,
- * -dse-batch, -dse-seed, -dse-samples, -dse-iterations, -dse-cache,
- * -dse-band-cache, -dse-partition-keys, -dse-incremental,
- * -dse-dataflow-fastpath, -dse-cache-cap, -cache-load, -cache-save,
- * -dse-audit. */
+ * -dse-batch, -dse-seed, -dse-samples, -dse-iterations,
+ * -dse-band-cache, -dse-partition-keys, -dse-cache-cap, -cache-load,
+ * -cache-save, -dse-audit. */
 bool parseExploreFlag(ExploreRequest &request, const std::string &arg,
                       std::string *error);
 
 /** Decode the explore fields of a JSON request object (the
  * scalehls-serve protocol: "budget", "model", "graph_level", "threads",
- * "seed", "samples", "iterations", "batch", "cache", "band_cache",
- * "partition_keys", "incremental", "dataflow_fastpath", "cache_cap",
- * "audit"). Unknown members are ignored (they belong to the enclosing
- * protocol). Returns "" on success, else the shared diagnostic. */
+ * "seed", "samples", "iterations", "batch", "band_cache",
+ * "partition_keys", "cache_cap", "audit"). Unknown members are ignored
+ * (they belong to the enclosing protocol). Returns "" on success, else
+ * the shared diagnostic. */
 std::string exploreRequestFromJson(ExploreRequest &request,
                                    const JsonValue &object);
 

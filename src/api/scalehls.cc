@@ -255,24 +255,6 @@ Compiler::applySimplifications()
     return *this;
 }
 
-namespace {
-
-/** Bridge the deprecated {budget, space, options} overloads onto the
- * unified request (the budget is already resolved, so no validate()). */
-ExploreRequest
-requestFrom(const ResourceBudget &budget, DesignSpaceOptions space_options,
-            DSEOptions options)
-{
-    ExploreRequest request;
-    request.budgetSpec = budget.name;
-    request.budget = budget;
-    request.space = space_options;
-    request.dse = std::move(options);
-    return request;
-}
-
-} // namespace
-
 std::optional<DSEResult>
 Compiler::optimize(const ExploreRequest &request)
 {
@@ -283,23 +265,6 @@ Compiler::optimize(const ExploreRequest &request)
         opt_seconds_ += result->seconds;
     }
     return result;
-}
-
-std::optional<DSEResult>
-Compiler::optimize(const ResourceBudget &budget,
-                   DesignSpaceOptions space_options, DSEOptions options)
-{
-    return optimize(
-        requestFrom(budget, space_options, std::move(options)));
-}
-
-std::vector<Compiler::FuncDSEResult>
-Compiler::optimizeFunctions(const ResourceBudget &budget,
-                            DesignSpaceOptions space_options,
-                            DSEOptions options)
-{
-    return optimizeFunctions(
-        requestFrom(budget, space_options, std::move(options)));
 }
 
 std::vector<Compiler::FuncDSEResult>
@@ -339,9 +304,8 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
     // creates the shared cache it loads/saves the snapshot ONCE here
     // (the per-kernel engines see sharedEstimates set and skip); when
     // the caller injected a cache, the caller persists it.
-    bool owns_cache =
-        !inner_options.sharedEstimates && inner_options.crossPointCache;
-    if (!inner_options.sharedEstimates && inner_options.crossPointCache)
+    bool owns_cache = !inner_options.sharedEstimates;
+    if (owns_cache)
         inner_options.sharedEstimates = &shared_estimates;
     if (owns_cache && !inner_options.cacheLoadPath.empty())
         loadEstimateCacheLogged(shared_estimates,
@@ -367,9 +331,7 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
         out.qor.latency = kInfeasibleQoR;
         out.qor.interval = kInfeasibleQoR;
         out.frontier = exploration.retained;
-        out.evaluations = exploration.engine->numEvaluations();
-        out.auditChecks = exploration.engine->numAuditChecks();
-        out.auditViolations = exploration.engine->numAuditViolations();
+        out.stats = exploration.engine->stats();
         auto chosen = DSEEngine::finalize(exploration.frontier, share);
         if (!chosen)
             return;
@@ -409,15 +371,6 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
 }
 
 std::optional<Compiler::ModelDSEResult>
-Compiler::optimizeModel(const ResourceBudget &budget,
-                        DesignSpaceOptions space_options,
-                        DSEOptions options)
-{
-    return optimizeModel(
-        requestFrom(budget, space_options, std::move(options)));
-}
-
-std::optional<Compiler::ModelDSEResult>
 Compiler::optimizeModel(const ExploreRequest &request)
 {
     const ResourceBudget &budget = request.budget;
@@ -443,8 +396,8 @@ Compiler::optimizeModel(const ExploreRequest &request)
     DSEOptions inner = options;
     // Same ownership rule as optimizeFunctions: load/save the snapshot
     // only for the cache this call created.
-    bool owns_cache = !inner.sharedEstimates && inner.crossPointCache;
-    if (!inner.sharedEstimates && inner.crossPointCache)
+    bool owns_cache = !inner.sharedEstimates;
+    if (owns_cache)
         inner.sharedEstimates = &shared_estimates;
     if (owns_cache && !inner.cacheLoadPath.empty())
         loadEstimateCacheLogged(shared_estimates, inner.cacheLoadPath);

@@ -94,23 +94,6 @@ frontierJson(const std::vector<FrontierPoint> &frontier)
     return out + "}";
 }
 
-std::string
-dseStatsJson(const DSEResult &result)
-{
-    return "\"evaluations\":" +
-           num(static_cast<int64_t>(result.evaluations)) +
-           ",\"full_materializations\":" +
-           num(static_cast<int64_t>(result.fullMaterializations)) +
-           ",\"overlay_materializations\":" +
-           num(static_cast<int64_t>(result.overlayMaterializations)) +
-           ",\"plan_composed\":" +
-           num(static_cast<int64_t>(result.planComposed)) +
-           ",\"plan_mismatches\":" +
-           num(static_cast<int64_t>(result.planMismatches)) +
-           ",\"fast_path_hits\":" +
-           num(static_cast<int64_t>(result.fastPathHits));
-}
-
 /** Per-request exploration setup over the shared decode/validate path
  * (api/explore_request.h). The session cache is injected as
  * sharedEstimates, so no engine ever touches snapshot persistence (the
@@ -275,7 +258,7 @@ ServeSession::handleKernelRequest(const JsonValue &req,
     } else {
         out += ",\"feasible\":true,\"qor\":" + qorJson(result->qor) +
                ",\"frontier\":" + frontierJson(result->frontier) + "," +
-               dseStatsJson(*result);
+               result->stats.jsonMembers();
     }
     out += ",\"cache\":" + cacheJson(cache_) + "}";
     return out;
@@ -334,7 +317,7 @@ ServeSession::handlePolybenchRequest(const JsonValue &req,
     } else {
         out += ",\"feasible\":true,\"qor\":" + qorJson(result->qor) +
                ",\"frontier\":" + frontierJson(result->frontier) + "," +
-               dseStatsJson(*result);
+               result->stats.jsonMembers();
     }
     out += ",\"cache\":" + cacheJson(cache_) + "}";
     return out;

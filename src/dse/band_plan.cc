@@ -33,8 +33,6 @@ BandPlanner::BandPlanner(const DesignSpace &space,
     if (fd.pipeline)
         return;
     dataflow_top_ = fd.dataflow;
-    if (dataflow_top_ && !space_.spaceOptions().dataflowFastPath)
-        return;
     for (auto &op : funcBody(func_)->ops()) {
         if (op->is(ops::AffineFor) || op->is(ops::Constant) ||
             op->is(ops::Alloc) || op->is(ops::Return))

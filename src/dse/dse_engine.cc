@@ -17,40 +17,29 @@ DSEEngine::explore()
 
     pool_ = std::make_unique<ThreadPool>(options_.numThreads);
     // Cross-point estimate cache: external if supplied, per-exploration
-    // otherwise (unless disabled). Content-keyed, so it never changes
-    // results — only how often the estimator re-walks identical IR.
-    local_estimates_ = std::make_unique<EstimateCache>();
-    options_.applyCacheBounds(*local_estimates_);
+    // otherwise. Content-keyed, so it never changes results — only how
+    // often the estimator re-walks identical IR.
     EstimateCache *estimates = options_.sharedEstimates;
-    if (!estimates && options_.crossPointCache)
+    local_estimates_.reset();
+    if (!estimates) {
+        local_estimates_ = std::make_unique<EstimateCache>();
+        options_.applyCacheBounds(*local_estimates_);
         estimates = local_estimates_.get();
-    // Cross-process warm start: the owner of the cache loads/saves the
-    // snapshot. The engine owns only its per-exploration cache; an
-    // injected sharedEstimates cache is persisted by whoever created it
-    // (Compiler / tools), never here — loading it once per engine would
-    // double-count and saving it concurrently would race.
-    if (estimates == local_estimates_.get() &&
-        !options_.cacheLoadPath.empty())
-        loadEstimateCacheLogged(*estimates, options_.cacheLoadPath);
+        // Cross-process warm start: the owner of the cache loads/saves
+        // the snapshot. The engine owns only its per-exploration cache;
+        // an injected sharedEstimates cache is persisted by whoever
+        // created it (Compiler / tools), never here — loading it once
+        // per engine would double-count and saving it concurrently
+        // would race.
+        if (!options_.cacheLoadPath.empty())
+            loadEstimateCacheLogged(*estimates, options_.cacheLoadPath);
+    }
     estimates_in_use_ = estimates;
-    size_t hits_before = estimates ? estimates->hits() : 0;
-    size_t lookups_before = estimates ? estimates->lookups() : 0;
-    size_t band_hits_before = estimates ? estimates->bandHits() : 0;
-    size_t band_lookups_before =
-        estimates ? estimates->bandLookups() : 0;
-    size_t masked_before = estimates ? estimates->bandMaskedHits() : 0;
-    size_t schedule_hits_before =
-        estimates ? estimates->scheduleHits() : 0;
-    size_t schedule_lookups_before =
-        estimates ? estimates->scheduleLookups() : 0;
-    size_t cross_band_before = estimates ? estimates->crossBandHits() : 0;
 
     EvaluatorOptions evaluator_options;
     evaluator_options.bandCache = options_.bandLevelCache;
     evaluator_options.partitionAwareKeys =
         options_.partitionAwareBandKeys;
-    evaluator_options.incremental = options_.incrementalMaterialize;
-    evaluator_options.planFirst = options_.planFirstEvaluation;
     evaluator_options.audit = options_.auditMode;
     evaluator_ = std::make_unique<CachingEvaluator>(
         space_, pool_.get(), estimates, evaluator_options);
@@ -73,32 +62,8 @@ DSEEngine::explore()
     SearchStrategy::create(options_.strategy)
         ->run(ctx, rng, options_.maxIterations);
 
-    materializations_ = evaluator.numMaterializations();
-    full_materializations_ = evaluator.numFullMaterializations();
-    fast_path_hits_ = evaluator.numFastPathHits();
-    plan_composed_ = evaluator.numPlanComposed();
-    overlay_materializations_ = evaluator.numOverlayMaterializations();
-    plan_infeasible_ = evaluator.numPlanInfeasible();
-    plan_mismatches_ = evaluator.numPlanMismatches();
-    audit_checks_ = evaluator.numAuditChecks();
-    audit_violations_ = evaluator.numAuditViolations();
-    cross_band_hits_ =
-        estimates ? estimates->crossBandHits() - cross_band_before : 0;
-    cache_hits_ = evaluator.numCacheHits();
-    estimate_hits_ = estimates ? estimates->hits() - hits_before : 0;
-    estimate_lookups_ =
-        estimates ? estimates->lookups() - lookups_before : 0;
-    band_hits_ =
-        estimates ? estimates->bandHits() - band_hits_before : 0;
-    band_lookups_ =
-        estimates ? estimates->bandLookups() - band_lookups_before : 0;
-    band_masked_hits_ =
-        estimates ? estimates->bandMaskedHits() - masked_before : 0;
-    schedule_hits_ =
-        estimates ? estimates->scheduleHits() - schedule_hits_before : 0;
-    schedule_lookups_ =
-        estimates ? estimates->scheduleLookups() - schedule_lookups_before
-                  : 0;
+    stats_ = evaluator.stats();
+    stats_.evaluations = evaluated_.size();
 
     // Return the frontier sorted by latency. frontierIndices is already
     // ascending (latency, area, index); stable_sort keeps tie groups in
@@ -116,8 +81,7 @@ DSEEngine::explore()
     // Save-on-exit for the engine-owned cache (the exploration is where
     // the entries are born; materializeEvaluated afterwards adds little
     // and the snapshot stays valid either way — entries only accrete).
-    if (estimates == local_estimates_.get() &&
-        !options_.cacheSavePath.empty())
+    if (local_estimates_ && !options_.cacheSavePath.empty())
         saveEstimateCacheLogged(*estimates, options_.cacheSavePath);
     return result;
 }
@@ -227,23 +191,7 @@ runDSE(Operation *module, const ResourceBudget &budget,
         // keep the QoR consistent with the module we actually return.
         result.qor = engine.verifiedQoR();
     }
-    result.evaluations = engine.numEvaluations();
-    result.estimateHits = engine.numEstimateHits();
-    result.estimateLookups = engine.numEstimateLookups();
-    result.bandEstimateHits = engine.numBandEstimateHits();
-    result.bandEstimateLookups = engine.numBandEstimateLookups();
-    result.scheduleHits = engine.numScheduleHits();
-    result.scheduleLookups = engine.numScheduleLookups();
-    result.fullMaterializations = engine.numFullMaterializations();
-    result.fastPathHits = engine.numFastPathHits();
-    result.bandMaskedHits = engine.numBandMaskedHits();
-    result.planComposed = engine.numPlanComposed();
-    result.overlayMaterializations = engine.numOverlayMaterializations();
-    result.planInfeasible = engine.numPlanInfeasible();
-    result.planMismatches = engine.numPlanMismatches();
-    result.crossBandHits = engine.numCrossBandHits();
-    result.auditChecks = engine.numAuditChecks();
-    result.auditViolations = engine.numAuditViolations();
+    result.stats = engine.stats();
     result.moduleReused = engine.moduleReused();
     result.qorVerified = engine.qorVerified();
     result.seconds = std::chrono::duration<double>(

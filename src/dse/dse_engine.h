@@ -18,6 +18,7 @@
 
 #include <optional>
 
+#include "dse/dse_stats.h"
 #include "dse/search_strategy.h"
 #include "estimate/cache_io.h"
 
@@ -37,18 +38,12 @@ struct DSEOptions
      * trajectory — keep it fixed when comparing runs (it intentionally
      * does not default to numThreads). */
     unsigned batchSize = 8;
-    /** Cross-point estimate cache: reuse per-function estimates between
-     * design points whose function content is identical (keyed by
-     * function name + directive/structure digest). Purely a wall-clock
-     * optimization — keys are content-derived, so hits return exactly
-     * what recomputation would. */
-    bool crossPointCache = true;
     /** Band-level tier of the estimate cache: additionally reuse
      * per-band estimates between points that differ only INSIDE another
      * band of the same function (keyed by a self-contained band digest,
-     * so digest-identical bands share even across functions). Same
-     * content-keyed guarantee: never changes results. No effect when
-     * crossPointCache is off and no external cache is supplied. */
+     * so digest-identical bands share even across functions). Content-
+     * keyed: never changes results. The schedule and plan tiers, and so
+     * the fast path and plan-first evaluation, build on it. */
     bool bandLevelCache = true;
     /** Partition-aware band keys: mask external memref layout dims the
      * band's estimate provably never reads out of the band digest, so
@@ -58,21 +53,6 @@ struct DSEOptions
      * read — never changes results. Off = the partition-sensitive PR 3
      * keying (kept for A/B comparison). */
     bool partitionAwareBandKeys = true;
-    /** Band-incremental materialization: a cache-miss point whose bands
-     * all hit the schedule tier (phase-1 digests) skips function-wide
-     * cleanup, array partition and the estimator walk, composing its QoR
-     * from cached per-band entries (validated, bit-identical). Requires
-     * the band cache. */
-    bool incrementalMaterialize = true;
-    /** Plan-first evaluation: predict each band's phase-1 digest from
-     * the pristine kernel and the decoded choice through the PLAN cache
-     * tier, compose fully predicted points with ZERO IR built, and
-     * materialize partial misses through copy-on-write overlays that
-     * rebuild only the missed bands. Predictions are validated against
-     * every overlay materialization (mismatches fall back to the full
-     * pipeline), so results never change. Requires
-     * incrementalMaterialize + the band cache. */
-    bool planFirstEvaluation = true;
     /** Audit mode (`-dse-audit` / SCALEHLS_DSE_AUDIT): run the L3/L4
      * auditors — overlay aliasing, overlay IR verification, band digest
      * coherence, schedule-entry shape — at every fast-path decision of
@@ -105,7 +85,7 @@ struct DSEOptions
     std::string cacheSavePath = defaultCacheSnapshotPath();
     /** External estimate cache spanning multiple explorations (e.g. all
      * kernels of optimizeFunctions), NOT owned; nullptr = the engine
-     * creates a per-exploration cache when crossPointCache is set. */
+     * creates a per-exploration cache. */
     EstimateCache *sharedEstimates = nullptr;
 
     /** Apply the cache bounds to @p cache: the per-tier caps when any
@@ -164,89 +144,27 @@ class DSEEngine
     {
         return evaluated_;
     }
-    /** Number of estimator invocations. */
-    size_t numEvaluations() const { return evaluated_.size(); }
-    /** Cache misses (points actually materialized) of the last explore. */
-    size_t numMaterializations() const { return materializations_; }
-    /** Evaluations served from the memo cache in the last explore. */
-    size_t numCacheHits() const { return cache_hits_; }
-    /** Function-estimate lookups resolved by the cross-point estimate
-     * cache during the last explore (delta over the cache used, so a
-     * sharedEstimates cache concurrently fed by other engines counts
-     * their traffic too — per-engine exact only for engine-local
-     * caches). */
-    size_t numEstimateHits() const { return estimate_hits_; }
-    /** Total function-estimate lookups of the last explore (same sharing
-     * caveat as numEstimateHits). */
-    size_t numEstimateLookups() const { return estimate_lookups_; }
-    /** Band-tier traffic of the last explore (same sharing caveat). */
-    size_t numBandEstimateHits() const { return band_hits_; }
-    size_t numBandEstimateLookups() const { return band_lookups_; }
-    /** Schedule-tier (phase-1 digest) traffic of the last explore (same
-     * sharing caveat). Lookups come from fast-path probes; hits count
-     * per-band entry reuse, so one fast-path-composed point scores one
-     * hit per band. */
-    size_t numScheduleHits() const { return schedule_hits_; }
-    size_t numScheduleLookups() const { return schedule_lookups_; }
-    /** Cache misses that ran the FULL pipeline (cleanup + partition +
-     * estimator walk) in the last explore. */
+    /** Counters of the last explore(): the evaluator's own, plus
+     * `evaluations` = evaluated().size(). */
+    const DSEStats &stats() const { return stats_; }
+    /** Shorthand reads of stats() (the e2ebench harness uses them). */
+    size_t numEvaluations() const { return stats_.evaluations; }
     size_t numFullMaterializations() const
     {
-        return full_materializations_;
+        return stats_.fullMaterializations;
     }
-    /** Cache misses served by the band-incremental fast path. */
-    size_t numFastPathHits() const { return fast_path_hits_; }
-    /** Band-tier hits whose key masked a partition layout dim (hits the
-     * partition-sensitive keying would have missed; sharing caveat as
-     * numEstimateHits). */
-    size_t numBandMaskedHits() const { return band_masked_hits_; }
-    /** Fast-path hits composed with ZERO IR built (plan-first). */
-    size_t numPlanComposed() const { return plan_composed_; }
-    /** Cache misses materialized through a copy-on-write overlay (only
-     * the schedule-missing bands were built). */
     size_t numOverlayMaterializations() const
     {
-        return overlay_materializations_;
+        return stats_.overlayMaterializations;
     }
-    /** Points proved infeasible by the planner with zero IR. */
-    size_t numPlanInfeasible() const { return plan_infeasible_; }
-    /** Plan predictions contradicted by an overlay materialization (the
-     * point fell back to the validated full pipeline). */
-    size_t numPlanMismatches() const { return plan_mismatches_; }
-    /** Schedule-tier hits served by an entry another band (or function)
-     * recorded — the canonicalizing digest sharing entries across
-     * symmetric bands, e.g. 3mm's stages (sharing caveat as
-     * numEstimateHits). */
-    size_t numCrossBandHits() const { return cross_band_hits_; }
-    /** Auditor invocations of the last explore (0 unless auditMode). */
-    size_t numAuditChecks() const { return audit_checks_; }
-    /** Audit findings of the last explore. Each finding also forced the
-     * affected point onto the validated slow path, so a nonzero count
-     * flags a broken invariant without a wrong QoR having escaped. */
-    size_t numAuditViolations() const { return audit_violations_; }
+    size_t numPlanComposed() const { return stats_.planComposed; }
+    size_t numPlanMismatches() const { return stats_.planMismatches; }
 
   private:
     DesignSpace &space_;
     DSEOptions options_;
     std::vector<EvaluatedPoint> evaluated_;
-    size_t materializations_ = 0;
-    size_t cache_hits_ = 0;
-    size_t estimate_hits_ = 0;
-    size_t estimate_lookups_ = 0;
-    size_t band_hits_ = 0;
-    size_t band_lookups_ = 0;
-    size_t schedule_hits_ = 0;
-    size_t schedule_lookups_ = 0;
-    size_t full_materializations_ = 0;
-    size_t fast_path_hits_ = 0;
-    size_t band_masked_hits_ = 0;
-    size_t plan_composed_ = 0;
-    size_t overlay_materializations_ = 0;
-    size_t plan_infeasible_ = 0;
-    size_t plan_mismatches_ = 0;
-    size_t cross_band_hits_ = 0;
-    size_t audit_checks_ = 0;
-    size_t audit_violations_ = 0;
+    DSEStats stats_;
     std::optional<ResourceBudget> finalize_budget_;
     bool module_reused_ = false;
     bool qor_verified_ = false;
@@ -291,34 +209,7 @@ struct DSEResult
      * beyond the winner so callers can re-finalize under a different
      * budget or compose whole-model designs. */
     std::vector<FrontierPoint> frontier;
-    size_t evaluations = 0;
-    /** Cross-point estimate-cache traffic of the exploration (see
-     * DSEEngine::numEstimateHits for the shared-cache caveat). */
-    size_t estimateHits = 0;
-    size_t estimateLookups = 0;
-    size_t bandEstimateHits = 0;
-    size_t bandEstimateLookups = 0;
-    size_t scheduleHits = 0;
-    size_t scheduleLookups = 0;
-    /** Materialization-side stats: misses that paid the full pipeline
-     * vs. misses composed by the band-incremental fast path, and
-     * band-tier hits only the partition-aware keying could score. */
-    size_t fullMaterializations = 0;
-    size_t fastPathHits = 0;
-    size_t bandMaskedHits = 0;
-    /** Plan-first stats: zero-IR compositions, overlay (partial)
-     * materializations, zero-IR infeasibility verdicts, validated
-     * digest-prediction mismatches (fallbacks, never wrong answers), and
-     * schedule-tier hits on entries born in another band/function. */
-    size_t planComposed = 0;
-    size_t overlayMaterializations = 0;
-    size_t planInfeasible = 0;
-    size_t planMismatches = 0;
-    size_t crossBandHits = 0;
-    /** Audit-mode bookkeeping (zero unless DSEOptions::auditMode): how
-     * many auditor invocations ran and how many findings they raised. */
-    size_t auditChecks = 0;
-    size_t auditViolations = 0;
+    DSEStats stats;
     /** True when the finalized module was the one retained during
      * exploration (no re-materialization). */
     bool moduleReused = false;

@@ -19,19 +19,19 @@ EvaluatorOptions::dseAuditEnvDefault()
 
 bool
 CachingEvaluator::recordAuditFindings(
-    const std::vector<VerifyError> &findings)
+    const std::vector<VerifyError> &findings, DSEStats &stats)
 {
     if (findings.empty())
         return false;
-    audit_violations_.fetch_add(findings.size(),
-                                std::memory_order_relaxed);
+    stats.auditViolations += findings.size();
     for (const VerifyError &e : findings)
         std::cerr << "dse-audit: " << e.str() << "\n";
     return true;
 }
 
 std::optional<QoRResult>
-CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial)
+CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial,
+                                    DSEStats &stats)
 {
     if (!partial.eligible ||
         partial.bandDigests.size() != partial.bandRoots.size())
@@ -57,7 +57,7 @@ CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial)
         // resolve it. Any finding drops the point to the full pipeline.
         std::vector<VerifyError> findings;
         for (size_t i = 0; i < entries.size(); ++i) {
-            audit_checks_.fetch_add(1, std::memory_order_relaxed);
+            ++stats.auditChecks;
             auto coherent = auditBandCoherence(
                 partial.bandRoots[i], partial.bandDigests[i]->digest,
                 &partial.ownership);
@@ -69,7 +69,7 @@ CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial)
             findings.insert(findings.end(), shaped.begin(),
                             shaped.end());
         }
-        if (recordAuditFindings(findings))
+        if (recordAuditFindings(findings, stats))
             return std::nullopt;
     }
 
@@ -120,11 +120,11 @@ CachingEvaluator::insertScheduleEntries(
 
 QoRResult
 CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
+                                DSEStats &stats,
                                 std::unique_ptr<Operation> *module_out)
 {
-    materializations_.fetch_add(1, std::memory_order_relaxed);
-    const bool incremental =
-        options_.incremental && estimates_ && options_.bandCache;
+    ++stats.materializations;
+    const bool incremental = estimates_ && options_.bandCache;
 
     QoRResult result;
     auto finalize = [&](QoRResult qor) {
@@ -142,35 +142,31 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
 
     if (planner_) {
         BandPlanner::Outcome planned = planner_->evaluate(point);
-        if (planned.auditChecks)
-            audit_checks_.fetch_add(planned.auditChecks,
-                                    std::memory_order_relaxed);
-        recordAuditFindings(planned.auditFindings);
+        stats.auditChecks += planned.auditChecks;
+        recordAuditFindings(planned.auditFindings, stats);
         switch (planned.kind) {
           case BandPlanner::Outcome::Kind::Composed:
             if (planned.usedOverlay) {
-                overlay_materializations_.fetch_add(
-                    1, std::memory_order_relaxed);
+                ++stats.overlayMaterializations;
             } else {
                 // Zero IR built: count it as a fast-path hit too — it is
                 // the same validated band-incremental composition, minus
                 // even the phase-1 transforms.
-                fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
-                plan_composed_.fetch_add(1, std::memory_order_relaxed);
+                ++stats.fastPathHits;
+                ++stats.planComposed;
             }
             return finalize(planned.qor);
           case BandPlanner::Outcome::Kind::Infeasible:
             // Exactly what the legacy path returns for a point whose
             // materialization fails — minus the clone and transforms.
-            plan_infeasible_.fetch_add(1, std::memory_order_relaxed);
+            ++stats.planInfeasible;
             result.latency = kInfeasibleQoR;
             result.interval = kInfeasibleQoR;
             result.feasible = false;
             return result;
           case BandPlanner::Outcome::Kind::Fallback:
             if (planned.mismatched)
-                plan_mismatches_.fetch_add(1,
-                                           std::memory_order_relaxed);
+                ++stats.planMismatches;
             break; // Run the validated legacy pipeline below.
         }
     }
@@ -179,17 +175,17 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
     if (incremental) {
         partial = space_.beginMaterialize(point);
         if (partial.module) {
-            if (auto composed = evaluateScheduled(partial)) {
+            if (auto composed = evaluateScheduled(partial, stats)) {
                 // Every band hit the schedule tier and validated: the
                 // composed QoR is bit-identical to what the skipped
                 // cleanup + partition + estimator walk would produce.
-                fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
+                ++stats.fastPathHits;
                 return finalize(*composed);
             }
         }
     }
 
-    full_materializations_.fetch_add(1, std::memory_order_relaxed);
+    ++stats.fullMaterializations;
     auto module = incremental ? space_.finishMaterialize(partial)
                               : space_.materialize(point);
     if (!module) {
@@ -243,12 +239,12 @@ QoRResult
 CachingEvaluator::evaluate(const DesignSpace::Point &point)
 {
     if (auto cached = cache_.lookup(point)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.cacheHits;
         return *cached;
     }
     std::unique_ptr<Operation> module;
-    QoRResult result =
-        evaluateFresh(point, retention_enabled_ ? &module : nullptr);
+    QoRResult result = evaluateFresh(
+        point, stats_, retention_enabled_ ? &module : nullptr);
     maybeRetain(point, result, std::move(module));
     cache_.insert(point, result);
     return result;
@@ -270,7 +266,7 @@ CachingEvaluator::evaluateBatch(const std::vector<DesignSpace::Point> &points)
     std::vector<std::pair<size_t, size_t>> duplicates; // (slot, miss idx)
     for (size_t i = 0; i < points.size(); ++i) {
         if (auto cached = cache_.lookup(points[i])) {
-            cache_hits_.fetch_add(1, std::memory_order_relaxed);
+            ++stats_.cacheHits;
             results[i] = *cached;
             continue;
         }
@@ -280,15 +276,17 @@ CachingEvaluator::evaluateBatch(const std::vector<DesignSpace::Point> &points)
             misses.push_back(i);
         } else {
             duplicates.push_back({i, it->second});
-            batch_dedups_.fetch_add(1, std::memory_order_relaxed);
+            ++stats_.batchDedups;
         }
     }
 
     std::vector<std::unique_ptr<Operation>> modules(misses.size());
+    std::vector<DSEStats> miss_stats(misses.size());
     auto evaluate_miss = [&](size_t mi) {
         size_t i = misses[mi];
         results[i] = evaluateFresh(
-            points[i], retention_enabled_ ? &modules[mi] : nullptr);
+            points[i], miss_stats[mi],
+            retention_enabled_ ? &modules[mi] : nullptr);
     };
     if (pool_ && pool_->size() > 1 && misses.size() > 1)
         pool_->parallelFor(misses.size(), evaluate_miss);
@@ -296,10 +294,11 @@ CachingEvaluator::evaluateBatch(const std::vector<DesignSpace::Point> &points)
         for (size_t mi = 0; mi < misses.size(); ++mi)
             evaluate_miss(mi);
 
-    // Sequential merge in input order: retention decisions and cache
-    // publication stay deterministic at any thread count.
+    // Sequential merge in input order: retention decisions, cache
+    // publication and counters stay deterministic at any thread count.
     for (size_t mi = 0; mi < misses.size(); ++mi) {
         size_t i = misses[mi];
+        stats_ += miss_stats[mi];
         maybeRetain(points[i], results[i], std::move(modules[mi]));
         cache_.insert(points[i], results[i]);
     }

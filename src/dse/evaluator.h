@@ -16,11 +16,11 @@
 #ifndef SCALEHLS_DSE_EVALUATOR_H
 #define SCALEHLS_DSE_EVALUATOR_H
 
-#include <atomic>
 #include <memory>
 
 #include "dse/band_plan.h"
 #include "dse/design_space.h"
+#include "dse/dse_stats.h"
 #include "estimate/estimate_cache.h"
 #include "support/concurrent_cache.h"
 #include "support/thread_pool.h"
@@ -58,22 +58,6 @@ struct EvaluatorOptions
      * along dims the band's estimate reads (see
      * bandEstimateDigestInfo). */
     bool partitionAwareKeys = true;
-    /** Band-incremental materialization: when every band of a point hits
-     * the schedule tier (and the cross-band partition validation
-     * passes), skip cleanup + array partition + the estimator walk and
-     * compose the QoR from the cached per-band entries. Requires an
-     * estimate cache with the band tier on; results are always
-     * bit-identical to the full path. */
-    bool incremental = true;
-    /** Plan-first evaluation (requires `incremental` + the band tier +
-     * an estimate cache): predict each band's phase-1 digest from the
-     * pristine kernel and the decoded choice (the PLAN cache tier, no
-     * IR built), compose fully predicted points with zero clones, and
-     * materialize partial misses through a copy-on-write overlay that
-     * rebuilds only the missed bands. Predictions are validated against
-     * every overlay materialization (mismatches fall back to the full
-     * pipeline and are counted), so results stay bit-identical. */
-    bool planFirst = true;
     /** Audit mode (`-dse-audit` / SCALEHLS_DSE_AUDIT): run the L3/L4
      * auditors (overlay aliasing, cache coherence, schedule-entry shape,
      * overlay IR verification) at every fast-path decision. A finding is
@@ -90,10 +74,14 @@ struct EvaluatorOptions
 /** The default evaluator: materialize + estimate behind a sharded memo
  * cache, batches spread over @p pool (nullptr or a 1-wide pool runs
  * inline). The cache is keyed on the full point vector, so re-probing an
- * already-evaluated point is a lookup, not a re-materialization; a miss
- * first tries the band-incremental fast path (phase-1 transforms + the
- * schedule tier of the estimate cache) before paying for a full
- * materialization.
+ * already-evaluated point is a lookup, not a re-materialization. A miss
+ * runs one cascade: plan-first composition when the kernel's shape
+ * allows it (BandPlanner), then the band-incremental fast path
+ * (phase-1 transforms + the schedule tier) when the point is eligible,
+ * then the full pipeline. Without an estimate cache, or with the band
+ * tier off, every miss runs the full pipeline: `CachingEvaluator(space)`
+ * is the uncached reference the tests and the smith oracle compare the
+ * cascade against.
  *
  * An infeasible estimate (unknown trips, call cycles, failed analysis)
  * is returned carrying the kInfeasibleQoR latency/interval sentinel —
@@ -116,8 +104,7 @@ class CachingEvaluator : public Evaluator
         : space_(space), pool_(pool), estimates_(estimates),
           options_(options)
     {
-        if (options_.planFirst && estimates_ && options_.incremental &&
-            options_.bandCache) {
+        if (estimates_ && options_.bandCache) {
             planner_ = std::make_unique<BandPlanner>(
                 space_, estimates_, options_.partitionAwareKeys,
                 options_.audit);
@@ -148,64 +135,32 @@ class CachingEvaluator : public Evaluator
     std::unique_ptr<Operation> takeRetainedModule(
         const DesignSpace::Point &point);
 
-    /** Number of uncached (memo-miss) evaluations. */
-    size_t numMaterializations() const { return materializations_.load(); }
-    /** Uncached evaluations that ran the FULL pipeline (phase-2 cleanup
-     * + partition + estimator walk). */
-    size_t numFullMaterializations() const
-    {
-        return full_materializations_.load();
-    }
-    /** Uncached evaluations served by the band-incremental fast path
-     * (every band hit the schedule tier and validated) — including the
-     * plan-composed ones, which additionally built zero IR. */
-    size_t numFastPathHits() const { return fast_path_hits_.load(); }
-    /** Fast-path hits decided entirely from the PLAN + SCHEDULE tiers:
-     * no clone, no transform, no IR of any kind. */
-    size_t numPlanComposed() const { return plan_composed_.load(); }
-    /** Uncached evaluations that materialized through a copy-on-write
-     * overlay (only the schedule-tier misses among the point's bands
-     * were built; the rest composed from cache). */
-    size_t numOverlayMaterializations() const
-    {
-        return overlay_materializations_.load();
-    }
-    /** Points the planner proved infeasible with zero IR (unroll cap, or
-     * a cached per-band transform failure). */
-    size_t numPlanInfeasible() const { return plan_infeasible_.load(); }
-    /** Overlay materializations whose actual phase-1 digest contradicted
-     * the PLAN tier's prediction; such points fell back to the full
-     * pipeline, so a nonzero count costs time, never correctness. */
-    size_t numPlanMismatches() const { return plan_mismatches_.load(); }
-    /** Number of evaluations served from the cache. */
-    size_t numCacheHits() const { return cache_hits_.load(); }
-    /** Duplicate in-batch slots served from their sibling's result. */
-    size_t numBatchDedups() const { return batch_dedups_.load(); }
-    /** Audit-mode auditor invocations (0 when auditing is off). */
-    size_t numAuditChecks() const { return audit_checks_.load(); }
-    /** Audit findings. Every finding also forced the affected point onto
-     * the validated slow path, so a nonzero count flags a broken
-     * invariant without ever having produced a wrong QoR. */
-    size_t numAuditViolations() const { return audit_violations_.load(); }
+    /** Counters accumulated since construction (`evaluations` stays 0:
+     * the engine owns that count). Each task fills its own DSEStats and
+     * the batch merges them sequentially, so read this between calls,
+     * never during one. */
+    const DSEStats &stats() const { return stats_; }
 
   private:
-    /** Uncached materialize + estimate of one point. @p module_out
-     * (optional) receives the materialized module when the full pipeline
-     * ran (the fast path composes the QoR without one). */
+    /** Uncached materialize + estimate of one point, counted into
+     * @p stats. @p module_out (optional) receives the materialized
+     * module when the full pipeline ran (the fast path composes the QoR
+     * without one). */
     QoRResult evaluateFresh(const DesignSpace::Point &point,
-                            std::unique_ptr<Operation> *module_out =
-                                nullptr);
+                            DSEStats &stats,
+                            std::unique_ptr<Operation> *module_out);
     /** The band-incremental fast path; nullopt -> run the full
      * pipeline. */
     std::optional<QoRResult> evaluateScheduled(
-        const DesignSpace::Partial &partial);
+        const DesignSpace::Partial &partial, DSEStats &stats);
     /** Publish the schedule-tier entries of a fully materialized,
      * eligible point. */
     void insertScheduleEntries(const DesignSpace::Partial &partial,
                                const QoREstimator &estimator);
     /** Count + report audit findings (audit mode only). Returns true
      * when there was at least one finding. */
-    bool recordAuditFindings(const std::vector<VerifyError> &findings);
+    static bool recordAuditFindings(
+        const std::vector<VerifyError> &findings, DSEStats &stats);
     /** Retention hook; called only from sequential merge paths. */
     void maybeRetain(const DesignSpace::Point &point,
                      const QoRResult &qor,
@@ -215,22 +170,13 @@ class CachingEvaluator : public Evaluator
     ThreadPool *pool_;
     EstimateCache *estimates_ = nullptr;
     EvaluatorOptions options_;
-    /** Plan-first evaluation over the PLAN cache tier (null when
-     * disabled by options or by the kernel's shape). */
+    /** Plan-first evaluation over the PLAN cache tier (null without an
+     * estimate cache with the band tier, or when the kernel's shape
+     * rules it out). */
     std::unique_ptr<BandPlanner> planner_;
     ConcurrentCache<DesignSpace::Point, QoRResult, OrdinalVectorHash>
         cache_;
-    std::atomic<size_t> materializations_{0};
-    std::atomic<size_t> full_materializations_{0};
-    std::atomic<size_t> fast_path_hits_{0};
-    std::atomic<size_t> plan_composed_{0};
-    std::atomic<size_t> overlay_materializations_{0};
-    std::atomic<size_t> plan_infeasible_{0};
-    std::atomic<size_t> plan_mismatches_{0};
-    std::atomic<size_t> cache_hits_{0};
-    std::atomic<size_t> batch_dedups_{0};
-    std::atomic<size_t> audit_checks_{0};
-    std::atomic<size_t> audit_violations_{0};
+    DSEStats stats_;
 
     bool retention_enabled_ = false;
     std::optional<ResourceBudget> retention_budget_;

@@ -282,8 +282,6 @@ class EstimateCache
         stats.maskedHits = bandMaskedHits();
         return stats;
     }
-    size_t scheduleHits() const { return schedules_.hits(); }
-    size_t scheduleLookups() const { return schedules_.lookups(); }
     CacheStats scheduleStats() const { return schedules_.stats(); }
     /** Schedule-tier hits whose entry was recorded under a different
      * origin than the consumer's — entry sharing across symmetric bands
@@ -292,8 +290,6 @@ class EstimateCache
     {
         return cross_band_hits_.load(std::memory_order_relaxed);
     }
-    size_t planHits() const { return plans_.hits(); }
-    size_t planLookups() const { return plans_.lookups(); }
     CacheStats planStats() const { return plans_.stats(); }
     ///@}
 

@@ -72,11 +72,10 @@ buildPoints(const DesignSpace &space, uint64_t seed, int target)
     return unique;
 }
 
-/** One cached run of the differential matrix. */
+/** One production run of the differential matrix. */
 struct RunSpec
 {
     std::string label;
-    EvaluatorOptions options;
     unsigned threads = 1;
     bool corrupt = false;
 };
@@ -99,10 +98,10 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         result.divergences.push_back({path, detail, std::move(point)});
     };
 
-    // Path 1 — the uncached sequential reference: no pool, no estimate
-    // cache, so every point runs the full materialize-and-estimate
-    // pipeline. This is the ground truth the three cached paths must
-    // reproduce bit-for-bit.
+    // The uncached sequential reference: no pool, no estimate cache, so
+    // every point runs the full materialize-and-estimate pipeline. This
+    // is the ground truth the production cascade must reproduce
+    // bit-for-bit.
     std::vector<QoRResult> baseline;
     {
         CachingEvaluator reference(space);
@@ -112,38 +111,22 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         result.evaluations += points.size();
     }
 
-    // Paths 2-4 at 1 and N threads, each against a FRESH estimate cache
+    // The production cascade (plan-first -> schedule-composed -> full
+    // pipeline) at 1 and N threads, each against a FRESH estimate cache
     // (cross-run reuse would mask per-path bugs behind warm tiers).
-    std::vector<RunSpec> runs;
-    auto pathOptions = [&](bool incremental, bool plan_first) {
-        EvaluatorOptions options;
-        options.bandCache = true;
-        options.incremental = incremental;
-        options.planFirst = plan_first;
-        options.audit = config.audit;
-        return options;
-    };
-    std::vector<unsigned> thread_counts = {1};
+    EvaluatorOptions options;
+    options.audit = config.audit;
+    std::vector<RunSpec> runs = {{"production@1t", 1, config.corruptPlan}};
+    std::string at_n = "production@" + std::to_string(config.threads) + "t";
     if (config.threads > 1)
-        thread_counts.push_back(config.threads);
-    for (unsigned threads : thread_counts) {
-        std::string at = "@" + std::to_string(threads) + "t";
-        runs.push_back({"band-cache" + at, pathOptions(false, false),
-                        threads, false});
-        runs.push_back({"sched-composed" + at, pathOptions(true, false),
-                        threads, false});
-        runs.push_back({"plan-first" + at, pathOptions(true, true),
-                        threads,
-                        config.corruptPlan && threads == 1});
-    }
+        runs.push_back({at_n, config.threads, false});
 
     for (const RunSpec &run : runs) {
         EstimateCache cache;
         std::unique_ptr<ThreadPool> pool;
         if (run.threads > 1)
             pool = std::make_unique<ThreadPool>(run.threads);
-        CachingEvaluator evaluator(space, pool.get(), &cache,
-                                   run.options);
+        CachingEvaluator evaluator(space, pool.get(), &cache, options);
 
         bool corrupted = false;
         if (run.corrupt) {
@@ -152,9 +135,8 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
             // whose digest matches no real band content. The system
             // must CATCH this (digest-mismatch fallback or audit
             // finding) and still answer with the reference QoR.
-            BandPlanner planner(space, &cache,
-                                run.options.partitionAwareKeys,
-                                run.options.audit);
+            BandPlanner planner(space, &cache, options.partitionAwareKeys,
+                                options.audit);
             if (planner.enabled()) {
                 std::string key = planner.debugPlanKey(points[0], 0);
                 if (!key.empty()) {
@@ -181,21 +163,20 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
 
         // Counter invariants (exact, derived from the evaluator's memo
         // accounting): every memo miss is decided by exactly one of the
-        // four materialization classes or the planner's zero-IR
-        // infeasibility proof, and every batch slot is a miss, a memo
-        // hit, or an in-batch dedup.
-        size_t mat = evaluator.numMaterializations();
-        size_t classes = evaluator.numFullMaterializations() +
-                         evaluator.numFastPathHits() +
-                         evaluator.numOverlayMaterializations() +
-                         evaluator.numPlanInfeasible();
+        // materialization classes or the planner's zero-IR infeasibility
+        // proof, and every batch slot is a miss, a memo hit, or an
+        // in-batch dedup.
+        const DSEStats &stats = evaluator.stats();
+        size_t mat = stats.materializations;
+        size_t classes = stats.fullMaterializations + stats.fastPathHits +
+                         stats.overlayMaterializations +
+                         stats.planInfeasible;
         if (mat != classes)
             diverge("counters@" + run.label,
                     "materializations (" + std::to_string(mat) +
                         ") != full+fastpath+overlay+planInfeasible (" +
                         std::to_string(classes) + ")");
-        size_t accounted = mat + evaluator.numCacheHits() +
-                           evaluator.numBatchDedups();
+        size_t accounted = mat + stats.cacheHits + stats.batchDedups;
         if (accounted != points.size())
             diverge("counters@" + run.label,
                     "batch of " + std::to_string(points.size()) +
@@ -203,28 +184,27 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
                         " (mat+hits+dedups)");
 
         if (corrupted) {
-            bool caught = evaluator.numPlanMismatches() >= 1 ||
-                          evaluator.numAuditViolations() >= 1;
+            bool caught =
+                stats.planMismatches >= 1 || stats.auditViolations >= 1;
             result.corruptionCaught |= caught;
             if (!caught)
                 diverge(run.label,
                         "corrupted PLAN entry went undetected "
                         "(no mismatch fallback, no audit finding)",
                         points[0]);
-        } else if (evaluator.numAuditViolations() != 0) {
+        } else if (stats.auditViolations != 0) {
             diverge("audit@" + run.label,
-                    std::to_string(evaluator.numAuditViolations()) +
+                    std::to_string(stats.auditViolations) +
                         " audit finding(s) in " +
-                        std::to_string(evaluator.numAuditChecks()) +
-                        " checks");
+                        std::to_string(stats.auditChecks) + " checks");
         }
 
         // Memo coherence: re-probing an already-evaluated point must be
         // a cache hit and must return the identical QoR.
-        size_t hits_before = evaluator.numCacheHits();
+        size_t hits_before = stats.cacheHits;
         QoRResult again = evaluator.evaluate(points[0]);
         result.evaluations += 1;
-        if (evaluator.numCacheHits() <= hits_before)
+        if (stats.cacheHits <= hits_before)
             diverge(run.label, "re-evaluation missed the memo cache",
                     points[0]);
         if (!qorEqual(again, baseline[0]))
@@ -283,9 +263,7 @@ reproducerJson(const SmithSample &sample, const SmithOracleConfig &config,
        << ",\"corrupt_plan\":" << jsonBool(config.corruptPlan)
        << ",\"space\":{\"max_tile_size\":" << config.space.maxTileSize
        << ",\"max_total_unroll\":" << config.space.maxTotalUnroll
-       << ",\"max_ii\":" << config.space.maxII
-       << ",\"dataflow_fastpath\":"
-       << jsonBool(config.space.dataflowFastPath) << "}}";
+       << ",\"max_ii\":" << config.space.maxII << "}}";
     os << ",\"shape\":\"" << jsonEscape(sample.shape) << "\"";
     os << ",\"path\":\"" << jsonEscape(divergence.path) << "\"";
     os << ",\"detail\":\"" << jsonEscape(divergence.detail) << "\"";
@@ -351,8 +329,6 @@ replayReproducer(const std::string &json_text, std::string *report,
             oracle.space.maxTotalUnroll = intField(
                 *s, "max_total_unroll", oracle.space.maxTotalUnroll);
             oracle.space.maxII = intField(*s, "max_ii", oracle.space.maxII);
-            oracle.space.dataflowFastPath = boolField(
-                *s, "dataflow_fastpath", oracle.space.dataflowFastPath);
         }
     }
 

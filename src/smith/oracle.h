@@ -1,14 +1,14 @@
 /**
  * @file
  * scalehls-smith's differential oracle: every generated sample's design
- * points are evaluated through all four evaluation paths — plan-first,
- * schedule-composed, band-cached, and the uncached sequential reference
- * — at one and N threads, and the oracle fails on ANY divergence: a QoR
- * that differs from the reference in any field, an evaluator counter
- * combination that breaks the fast-path accounting invariants, or an
- * L3/L4 audit finding. A failing sample is dumped as a JSON reproducer
- * that `scalehls-smith --replay <file>` re-executes exactly (generation
- * is a pure function of config + seed).
+ * points are evaluated by the uncached sequential reference and by the
+ * production evaluation cascade (plan-first -> schedule-composed -> full
+ * pipeline) at one and N threads, and the oracle fails on ANY
+ * divergence: a QoR that differs from the reference in any field, an
+ * evaluator counter combination that breaks the fast-path accounting
+ * invariants, or an L3/L4 audit finding. A failing sample is dumped as
+ * a JSON reproducer that `scalehls-smith --replay <file>` re-executes
+ * exactly (generation is a pure function of config + seed).
  */
 
 #ifndef SCALEHLS_SMITH_ORACLE_H
@@ -33,9 +33,10 @@ struct SmithOracleConfig
     unsigned threads = 4;
     /** Run the L3/L4 auditors inside every cached evaluation. */
     bool audit = true;
-    /** Self-test hook: poison one PLAN-tier entry before the plan-first
-     * run and demand the corruption is CAUGHT (mismatch counter or audit
-     * finding) while the QoR still matches the reference. */
+    /** Self-test hook: poison one PLAN-tier entry before the 1-thread
+     * production run and demand the corruption is CAUGHT (mismatch
+     * counter or audit finding) while the QoR still matches the
+     * reference. */
     bool corruptPlan = false;
     /** The design-space bounds every run shares. */
     DesignSpaceOptions space;
@@ -44,7 +45,7 @@ struct SmithOracleConfig
 /** One oracle failure: which evaluation path diverged, on what. */
 struct SmithDivergence
 {
-    std::string path;   ///< e.g. "plan-first@4t" or "counters@sched@1t".
+    std::string path; ///< e.g. "production@4t" or "counters@production@1t".
     std::string detail; ///< Human-readable what-differed.
     DesignSpace::Point point; ///< Offending point (empty for counters).
 };
@@ -65,7 +66,8 @@ struct SmithOracleResult
     bool corruptionCaught = false;
 };
 
-/** Run the four-path differential oracle over @p sample. */
+/** Run the reference-vs-production differential oracle over
+ * @p sample. */
 SmithOracleResult runSmithOracle(const SmithSample &sample,
                                  const SmithOracleConfig &config);
 

@@ -51,10 +51,16 @@ class Parser
         if (pos_ >= text_.size())
             return false;
         char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
+        if (c == '{' || c == '[') {
+            // The parser recurses per nesting level: bound it so hostile
+            // input fails cleanly instead of overflowing the stack.
+            if (depth_ == kMaxJsonDepth)
+                return false;
+            ++depth_;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+        }
         if (c == '"') {
             out.kind = JsonValue::Kind::String;
             return parseString(out.string);
@@ -250,6 +256,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0; ///< Open objects/arrays around the cursor.
 };
 
 } // namespace

@@ -55,8 +55,13 @@ struct JsonValue
     }
 };
 
+/** Deepest object/array nesting parseJson accepts: far above any
+ * protocol or reproducer document (a few levels), far below what would
+ * overflow a worker thread's stack. */
+constexpr size_t kMaxJsonDepth = 512;
+
 /** Parse one JSON document; nullopt on any syntax error (including
- * trailing non-whitespace). */
+ * trailing non-whitespace) and on nesting deeper than kMaxJsonDepth. */
 std::optional<JsonValue> parseJson(const std::string &text);
 
 /** Escape @p text for embedding inside a JSON string literal (adds no

@@ -18,6 +18,20 @@
 namespace scalehls {
 namespace {
 
+/** Field-by-field QoR equality (reference-vs-production tests). */
+void
+expectIdenticalQoR(const QoRResult &a, const QoRResult &b,
+                   const char *label)
+{
+    EXPECT_EQ(a.latency, b.latency) << label;
+    EXPECT_EQ(a.interval, b.interval) << label;
+    EXPECT_EQ(a.feasible, b.feasible) << label;
+    EXPECT_EQ(a.resources.dsp, b.resources.dsp) << label;
+    EXPECT_EQ(a.resources.lut, b.resources.lut) << label;
+    EXPECT_EQ(a.resources.bram18k, b.resources.bram18k) << label;
+    EXPECT_EQ(a.resources.memoryBits, b.resources.memoryBits) << label;
+}
+
 TEST(Pareto, Dominance)
 {
     QoRPoint a{10, 5};
@@ -201,8 +215,8 @@ TEST(DesignSpace, MaterializeAndEvaluate)
     // Evaluation is memoized: the second call is a cache hit, not a
     // re-materialization, and returns the identical result.
     QoRResult again = evaluator.evaluate(zero);
-    EXPECT_EQ(evaluator.numMaterializations(), 1u);
-    EXPECT_EQ(evaluator.numCacheHits(), 1u);
+    EXPECT_EQ(evaluator.stats().materializations, 1u);
+    EXPECT_EQ(evaluator.stats().cacheHits, 1u);
     EXPECT_EQ(again.latency, qor.latency);
 }
 
@@ -272,64 +286,43 @@ TEST(DesignSpace, MultiBandDimensions)
     EXPECT_GT(variant_stores[1], base_stores[1]);
 }
 
-TEST(DSEEngine, MultiBandBandCacheDoesNotChangeResults)
+TEST(DSEEngine, ExplorationMatchesUncachedReference)
 {
-    // 2mm DSE with the band tier on vs off: bit-identical trajectories
-    // and frontiers (the tier is content-keyed), with band-tier hits
-    // strictly above the function-level-only configuration (which has
-    // none by construction).
-    auto module = parseCToModule(polybenchSource("2mm", 8));
-    raiseScfToAffine(module.get());
-    DesignSpaceOptions space_options;
-    space_options.maxTileSize = 4;
-    space_options.maxTotalUnroll = 16;
-
-    size_t band_hits_on = 0;
-    auto run = [&](bool band_cache) {
+    // The production evaluator (estimate cache, plan-first and
+    // schedule-tier composition) with the band tier on and off: every
+    // point an exploration evaluated re-evaluates bit-identically
+    // through the uncached reference, so both band-tier settings follow
+    // the same trajectory. Single- and multi-band kernels.
+    for (const char *kernel : {"gemm", "2mm"}) {
+        auto module = parseCToModule(polybenchSource(kernel, 8));
+        raiseScfToAffine(module.get());
+        DesignSpaceOptions space_options;
+        space_options.maxTileSize = 4;
+        space_options.maxTotalUnroll = 16;
         DesignSpace space(module.get(), space_options);
-        DSEOptions options;
-        options.numInitialSamples = 15;
-        options.maxIterations = 30;
-        options.numThreads = 2;
-        options.bandLevelCache = band_cache;
-        // Plan-first would serve most points from the PLAN + SCHEDULE
-        // tiers; this test A/Bs the band tier specifically, so keep the
-        // estimator walks (and their band-tier traffic) in play.
-        options.planFirstEvaluation = false;
-        DSEEngine engine(space, options);
-        auto frontier = engine.explore();
-        if (band_cache) {
-            EXPECT_GT(engine.numBandEstimateLookups(), 0u);
-            EXPECT_GT(engine.numBandEstimateHits(), 0u);
-            band_hits_on = engine.numBandEstimateHits();
-        } else {
-            EXPECT_EQ(engine.numBandEstimateLookups(), 0u);
-            EXPECT_EQ(engine.numBandEstimateHits(), 0u);
+        CachingEvaluator reference(space);
+
+        std::vector<std::vector<EvaluatedPoint>> runs;
+        for (bool band_cache : {true, false}) {
+            EstimateCache cache;
+            DSEOptions options;
+            options.numInitialSamples = 15;
+            options.maxIterations = 30;
+            options.numThreads = 2;
+            options.bandLevelCache = band_cache;
+            options.sharedEstimates = &cache;
+            DSEEngine engine(space, options);
+            engine.explore();
+            EXPECT_GT(cache.funcStats().lookups(), 0u) << kernel;
+            EXPECT_EQ(cache.bandStats().lookups() > 0, band_cache) << kernel;
+            for (const EvaluatedPoint &e : engine.evaluated())
+                expectIdenticalQoR(reference.evaluate(e.point), e.qor,
+                                   kernel);
+            runs.push_back(engine.evaluated());
         }
-        return std::make_pair(frontier, engine.evaluated());
-    };
-
-    auto [frontier_on, evaluated_on] = run(true);
-    auto [frontier_off, evaluated_off] = run(false);
-    EXPECT_GT(band_hits_on, 0u);
-
-    ASSERT_EQ(frontier_on.size(), frontier_off.size());
-    for (size_t i = 0; i < frontier_on.size(); ++i) {
-        EXPECT_EQ(frontier_on[i].point, frontier_off[i].point);
-        EXPECT_EQ(frontier_on[i].qor.latency,
-                  frontier_off[i].qor.latency);
-        EXPECT_EQ(frontier_on[i].qor.interval,
-                  frontier_off[i].qor.interval);
-        EXPECT_EQ(frontier_on[i].qor.resources.dsp,
-                  frontier_off[i].qor.resources.dsp);
-        EXPECT_EQ(frontier_on[i].qor.resources.lut,
-                  frontier_off[i].qor.resources.lut);
-    }
-    ASSERT_EQ(evaluated_on.size(), evaluated_off.size());
-    for (size_t i = 0; i < evaluated_on.size(); ++i) {
-        EXPECT_EQ(evaluated_on[i].point, evaluated_off[i].point);
-        EXPECT_EQ(evaluated_on[i].qor.latency,
-                  evaluated_off[i].qor.latency);
+        ASSERT_EQ(runs[0].size(), runs[1].size()) << kernel;
+        for (size_t i = 0; i < runs[0].size(); ++i)
+            EXPECT_EQ(runs[0][i].point, runs[1][i].point) << kernel;
     }
 }
 
@@ -378,7 +371,7 @@ TEST(DSEEngine, RunDSEProducesModule)
     auto result = runDSE(module.get(), xc7z020(), space_options, options);
     ASSERT_TRUE(result);
     ASSERT_NE(result->module, nullptr);
-    EXPECT_GT(result->evaluations, 20u);
+    EXPECT_GT(result->stats.evaluations, 20u);
     // The materialized design carries a pipelined loop.
     bool has_pipeline = false;
     result->module->walk([&](Operation *op) {
@@ -444,14 +437,14 @@ TEST(Evaluator, BatchCacheHitsAreNotRematerialized)
         batch.push_back(space.randomPoint(rng));
 
     auto first = evaluator.evaluateBatch(batch);
-    size_t materialized = evaluator.numMaterializations();
+    size_t materialized = evaluator.stats().materializations;
     EXPECT_LE(materialized, batch.size());
     EXPECT_GE(materialized, 1u);
 
     // Re-evaluating the same batch must be pure cache traffic...
     auto second = evaluator.evaluateBatch(batch);
-    EXPECT_EQ(evaluator.numMaterializations(), materialized);
-    EXPECT_GE(evaluator.numCacheHits(), batch.size());
+    EXPECT_EQ(evaluator.stats().materializations, materialized);
+    EXPECT_GE(evaluator.stats().cacheHits, batch.size());
     // ...and return identical results in input order.
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i) {
@@ -494,53 +487,6 @@ TEST(Evaluator, InfeasibleEstimateCarriesSentinel)
     EXPECT_EQ(qor.interval, kInfeasibleQoR);
 }
 
-TEST(DSEEngine, EstimateCacheDoesNotChangeResults)
-{
-    // The cross-point estimate cache is content-keyed: running the same
-    // exploration with and without it must give bit-identical frontiers
-    // and trajectories.
-    auto module = parseCToModule(polybenchSource("gemm", 16));
-    raiseScfToAffine(module.get());
-    DesignSpaceOptions space_options;
-    space_options.maxTileSize = 8;
-    space_options.maxTotalUnroll = 64;
-
-    auto run = [&](bool cache) {
-        DesignSpace space(module.get(), space_options);
-        DSEOptions options;
-        options.numInitialSamples = 25;
-        options.maxIterations = 50;
-        options.numThreads = 2;
-        options.crossPointCache = cache;
-        DSEEngine engine(space, options);
-        auto frontier = engine.explore();
-        if (cache) {
-            EXPECT_GT(engine.numEstimateLookups(), 0u);
-        } else {
-            EXPECT_EQ(engine.numEstimateLookups(), 0u);
-        }
-        return std::make_pair(frontier, engine.evaluated());
-    };
-
-    auto [frontier_on, evaluated_on] = run(true);
-    auto [frontier_off, evaluated_off] = run(false);
-
-    ASSERT_EQ(frontier_on.size(), frontier_off.size());
-    for (size_t i = 0; i < frontier_on.size(); ++i) {
-        EXPECT_EQ(frontier_on[i].point, frontier_off[i].point);
-        EXPECT_EQ(frontier_on[i].qor.latency,
-                  frontier_off[i].qor.latency);
-        EXPECT_EQ(frontier_on[i].qor.resources.lut,
-                  frontier_off[i].qor.resources.lut);
-    }
-    ASSERT_EQ(evaluated_on.size(), evaluated_off.size());
-    for (size_t i = 0; i < evaluated_on.size(); ++i) {
-        EXPECT_EQ(evaluated_on[i].point, evaluated_off[i].point);
-        EXPECT_EQ(evaluated_on[i].qor.latency,
-                  evaluated_off[i].qor.latency);
-    }
-}
-
 TEST(MultiKernelDSE, ConcurrentPerFunctionFlow)
 {
     // Two independent kernels in one module: the per-function flow must
@@ -570,7 +516,7 @@ TEST(MultiKernelDSE, ConcurrentPerFunctionFlow)
     for (const auto &r : results) {
         names.insert(r.func);
         EXPECT_TRUE(r.qor.feasible) << r.func;
-        EXPECT_GT(r.evaluations, 20u);
+        EXPECT_GT(r.stats.evaluations, 20u);
         EXPECT_GT(r.qor.latency, 0);
     }
     EXPECT_EQ(names.size(), 2u);
@@ -674,17 +620,15 @@ TEST(Evaluator, IncrementalFastPathMatchesSlowPath)
         // is served by exactly one of: the full pipeline, the (plan or
         // schedule-tier) fast path, an overlay materialization, or a
         // zero-IR infeasibility verdict.
-        EXPECT_GT(incremental.numFastPathHits(), 0u) << kernel;
-        EXPECT_LT(incremental.numFullMaterializations(), points.size())
-            << kernel;
-        EXPECT_EQ(incremental.numFullMaterializations() +
-                      incremental.numFastPathHits() +
-                      incremental.numOverlayMaterializations() +
-                      incremental.numPlanInfeasible(),
+        const DSEStats &stats = incremental.stats();
+        EXPECT_GT(stats.fastPathHits, 0u) << kernel;
+        EXPECT_LT(stats.fullMaterializations, points.size()) << kernel;
+        EXPECT_EQ(stats.fullMaterializations + stats.fastPathHits +
+                      stats.overlayMaterializations + stats.planInfeasible,
                   points.size())
             << kernel;
-        EXPECT_EQ(incremental.numPlanMismatches(), 0u) << kernel;
-        EXPECT_EQ(reference.numFullMaterializations(), points.size())
+        EXPECT_EQ(stats.planMismatches, 0u) << kernel;
+        EXPECT_EQ(reference.stats().fullMaterializations, points.size())
             << kernel;
     }
 }
@@ -705,26 +649,12 @@ TEST(Evaluator, BatchDedupMaterializesDuplicatesOnce)
 
     // Two unique points -> two materializations; the three duplicate
     // slots are served from their sibling's result.
-    EXPECT_EQ(evaluator.numMaterializations(), 2u);
-    EXPECT_EQ(evaluator.numBatchDedups(), 3u);
+    EXPECT_EQ(evaluator.stats().materializations, 2u);
+    EXPECT_EQ(evaluator.stats().batchDedups, 3u);
     ASSERT_EQ(results.size(), batch.size());
     EXPECT_EQ(results[0].latency, results[1].latency);
     EXPECT_EQ(results[0].latency, results[3].latency);
     EXPECT_EQ(results[2].latency, results[4].latency);
-}
-
-/** Field-by-field QoR equality (shared by the fast-path tests below). */
-void
-expectIdenticalQoR(const QoRResult &a, const QoRResult &b,
-                   const char *label)
-{
-    EXPECT_EQ(a.latency, b.latency) << label;
-    EXPECT_EQ(a.interval, b.interval) << label;
-    EXPECT_EQ(a.feasible, b.feasible) << label;
-    EXPECT_EQ(a.resources.dsp, b.resources.dsp) << label;
-    EXPECT_EQ(a.resources.lut, b.resources.lut) << label;
-    EXPECT_EQ(a.resources.bram18k, b.resources.bram18k) << label;
-    EXPECT_EQ(a.resources.memoryBits, b.resources.memoryBits) << label;
 }
 
 /** The II cross-product of a space's first two bands, border points
@@ -784,21 +714,8 @@ TEST(Evaluator, DataflowFastPathMatchesSlowPath)
         EXPECT_LT(ref.interval, ref.latency);
         expectIdenticalQoR(ref, fast, "dataflow");
     }
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
-
-    // Ablation: -dse-dataflow-fastpath=0 pins every point to the slow
-    // path and still produces identical results.
-    DesignSpaceOptions no_dataflow;
-    no_dataflow.dataflowFastPath = false;
-    DesignSpace space_off(module.get(), no_dataflow);
-    EstimateCache cache_off;
-    CachingEvaluator disabled(space_off, nullptr, &cache_off);
-    for (const auto &p : points)
-        expectIdenticalQoR(reference.evaluate(p), disabled.evaluate(p),
-                           "dataflow-disabled");
-    EXPECT_EQ(disabled.numFastPathHits(), 0u);
-    EXPECT_EQ(disabled.numFullMaterializations(), points.size());
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
 }
 
 TEST(Evaluator, MultiConsumerDataflowFastPathMatchesSlowPath)
@@ -843,9 +760,9 @@ TEST(Evaluator, MultiConsumerDataflowFastPathMatchesSlowPath)
         EXPECT_LT(ref.interval, ref.latency);
         expectIdenticalQoR(ref, fast, "multi-consumer");
     }
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
-    EXPECT_EQ(incremental.numPlanMismatches(), 0u);
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
+    EXPECT_EQ(incremental.stats().planMismatches, 0u);
 }
 
 TEST(Evaluator, PlanFirstComposesWarmPointsWithZeroIR)
@@ -872,11 +789,11 @@ TEST(Evaluator, PlanFirstComposesWarmPointsWithZeroIR)
         expectIdenticalQoR(expected[i], fresh.evaluate(points[i]),
                            "plan-replay");
     EXPECT_EQ(Operation::createdCount(), created_before);
-    EXPECT_EQ(fresh.numFullMaterializations(), 0u);
-    EXPECT_EQ(fresh.numOverlayMaterializations(), 0u);
-    EXPECT_EQ(fresh.numPlanComposed() + fresh.numPlanInfeasible(),
+    EXPECT_EQ(fresh.stats().fullMaterializations, 0u);
+    EXPECT_EQ(fresh.stats().overlayMaterializations, 0u);
+    EXPECT_EQ(fresh.stats().planComposed + fresh.stats().planInfeasible,
               points.size());
-    EXPECT_EQ(fresh.numPlanMismatches(), 0u);
+    EXPECT_EQ(fresh.stats().planMismatches, 0u);
 }
 
 TEST(Evaluator, CanonicalDigestSharesEntriesAcrossSymmetricBands)
@@ -897,7 +814,7 @@ TEST(Evaluator, CanonicalDigestSharesEntriesAcrossSymmetricBands)
         expectIdenticalQoR(reference.evaluate(p),
                            incremental.evaluate(p), "3mm-cross-band");
     EXPECT_GT(cache.crossBandHits(), 0u);
-    EXPECT_EQ(incremental.numPlanMismatches(), 0u);
+    EXPECT_EQ(incremental.stats().planMismatches, 0u);
 }
 
 TEST(Evaluator, AllocCarryingChainFastPathMatchesSlowPath)
@@ -933,8 +850,8 @@ TEST(Evaluator, AllocCarryingChainFastPathMatchesSlowPath)
     for (const auto &p : points)
         expectIdenticalQoR(reference.evaluate(p),
                            incremental.evaluate(p), "alloc-chain");
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
     // The local buffer's memory reached the composed account.
     QoRResult zero = incremental.evaluate(
         DesignSpace::Point(space.numDims(), 0));
@@ -968,7 +885,7 @@ TEST(Evaluator, MixedFunctionStillPopulatesScheduleTier)
     for (const auto &p : points)
         expectIdenticalQoR(reference.evaluate(p), evaluator.evaluate(p),
                            "mixed");
-    EXPECT_EQ(evaluator.numFastPathHits(), 0u);
+    EXPECT_EQ(evaluator.stats().fastPathHits, 0u);
     EXPECT_GT(cache.scheduleStats().entries, 0u);
 }
 
@@ -991,8 +908,8 @@ TEST(Evaluator, DNNKernelFastPathMatchesSlowPath)
     for (const auto &p : points)
         expectIdenticalQoR(reference.evaluate(p),
                            incremental.evaluate(p), "dnn-kernel");
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
 }
 
 TEST(DSEEngine, FinalizedModuleIsVerifiedAgainstCachedQoR)

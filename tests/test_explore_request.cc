@@ -35,16 +35,13 @@ expectRequestsEqual(const ExploreRequest &a, const ExploreRequest &b,
     EXPECT_EQ(a.space.maxTileSize, b.space.maxTileSize);
     EXPECT_EQ(a.space.maxTotalUnroll, b.space.maxTotalUnroll);
     EXPECT_EQ(a.space.maxII, b.space.maxII);
-    EXPECT_EQ(a.space.dataflowFastPath, b.space.dataflowFastPath);
     EXPECT_EQ(a.dse.numThreads, b.dse.numThreads);
     EXPECT_EQ(a.dse.seed, b.dse.seed);
     EXPECT_EQ(a.dse.numInitialSamples, b.dse.numInitialSamples);
     EXPECT_EQ(a.dse.maxIterations, b.dse.maxIterations);
     EXPECT_EQ(a.dse.batchSize, b.dse.batchSize);
-    EXPECT_EQ(a.dse.crossPointCache, b.dse.crossPointCache);
     EXPECT_EQ(a.dse.bandLevelCache, b.dse.bandLevelCache);
     EXPECT_EQ(a.dse.partitionAwareBandKeys, b.dse.partitionAwareBandKeys);
-    EXPECT_EQ(a.dse.incrementalMaterialize, b.dse.incrementalMaterialize);
     EXPECT_EQ(a.dse.auditMode, b.dse.auditMode);
     EXPECT_EQ(a.dse.estimateCacheTierCaps.func,
               b.dse.estimateCacheTierCaps.func);
@@ -87,16 +84,14 @@ TEST(ExploreRequest, FlagJsonAndDirectDecodeToIdenticalOptions)
         {"-dse-budget=vu9p-slr", "-dse-model=vgg16",
          "-dse-graph-level=3", "-dse-threads=2", "-dse-batch=4",
          "-dse-seed=99", "-dse-samples=10", "-dse-iterations=20",
-         "-dse-cache=1", "-dse-band-cache=0", "-dse-partition-keys=1",
-         "-dse-incremental=0", "-dse-dataflow-fastpath=0",
+         "-dse-band-cache=0", "-dse-partition-keys=1",
          "-dse-cache-cap=64:128:256:512", "-dse-audit=1"});
 
     ExploreRequest json = fromJsonText(
         "{\"budget\":\"vu9p-slr\",\"model\":\"vgg16\","
         "\"graph_level\":3,\"threads\":2,\"batch\":4,\"seed\":99,"
-        "\"samples\":10,\"iterations\":20,\"cache\":true,"
-        "\"band_cache\":false,\"partition_keys\":1,\"incremental\":0,"
-        "\"dataflow_fastpath\":false,\"cache_cap\":\"64:128:256:512\","
+        "\"samples\":10,\"iterations\":20,\"band_cache\":false,"
+        "\"partition_keys\":1,\"cache_cap\":\"64:128:256:512\","
         "\"audit\":true}");
 
     ExploreRequest direct;
@@ -109,12 +104,9 @@ TEST(ExploreRequest, FlagJsonAndDirectDecodeToIdenticalOptions)
     direct.dse.seed = 99;
     direct.dse.numInitialSamples = 10;
     direct.dse.maxIterations = 20;
-    direct.dse.crossPointCache = true;
     direct.dse.bandLevelCache = false;
     direct.dse.partitionAwareBandKeys = true;
-    direct.dse.incrementalMaterialize = false;
     direct.dse.auditMode = true;
-    direct.space.dataflowFastPath = false;
 
     ASSERT_FALSE(cli.validate().has_value());
     ASSERT_FALSE(json.validate().has_value());
@@ -247,16 +239,23 @@ TEST(ExploreRequest, NonExploreFlagsAreLeftToTheCaller)
     EXPECT_FALSE(parseExploreFlag(request, "-top=main", &error));
     EXPECT_FALSE(parseExploreFlag(request, "-emit-hlscpp", &error));
     EXPECT_FALSE(parseExploreFlag(request, "--corpus", &error));
+    // Flags of removed toggles are unknown arguments now.
+    EXPECT_FALSE(parseExploreFlag(request, "-dse-cache=0", &error));
+    EXPECT_FALSE(parseExploreFlag(request, "-dse-incremental=0", &error));
+    EXPECT_FALSE(
+        parseExploreFlag(request, "-dse-dataflow-fastpath=0", &error));
     EXPECT_TRUE(error.empty());
 }
 
 TEST(ExploreRequest, JsonIgnoresEnclosingProtocolMembers)
 {
     // The serve protocol wraps explore fields in kind/id/kernel members
-    // the decoder must skip.
+    // the decoder must skip; keys of removed toggles are skipped alike.
     ExploreRequest request;
     auto parsed = parseJson("{\"kind\":\"kernel\",\"id\":7,"
-                            "\"kernel\":\"conv1\",\"threads\":3}");
+                            "\"kernel\":\"conv1\",\"threads\":3,"
+                            "\"cache\":0,\"incremental\":0,"
+                            "\"dataflow_fastpath\":0}");
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(exploreRequestFromJson(request, *parsed), "");
     EXPECT_EQ(request.dse.numThreads, 3u);

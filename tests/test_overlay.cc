@@ -186,15 +186,15 @@ TEST(Overlay, DigestPredictionMismatchFallsBackToTheFullPipeline)
     EXPECT_EQ(fast.feasible, ref.feasible);
     EXPECT_EQ(fast.resources.dsp, ref.resources.dsp);
     EXPECT_EQ(fast.resources.memoryBits, ref.resources.memoryBits);
-    EXPECT_EQ(incremental.numPlanMismatches(), 1u);
-    EXPECT_EQ(incremental.numFullMaterializations(), 1u);
+    EXPECT_EQ(incremental.stats().planMismatches, 1u);
+    EXPECT_EQ(incremental.stats().fullMaterializations, 1u);
 
     // An uncorrupted cache evaluates the same point mismatch-free.
     EstimateCache clean;
     CachingEvaluator healthy(space, nullptr, &clean);
     QoRResult again = healthy.evaluate(point);
     EXPECT_EQ(again.latency, ref.latency);
-    EXPECT_EQ(healthy.numPlanMismatches(), 0u);
+    EXPECT_EQ(healthy.stats().planMismatches, 0u);
 }
 
 TEST(Overlay, PlanKeysAreStablePerPointAndDistinctAcrossPoints)

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,58 @@ TEST(ServeTest, MalformedRequestsAnswerWithErrors)
     JsonValue good = parsed(session.handleLine(gemmRequest(11, 3)));
     EXPECT_TRUE(boolAt(good, "ok"));
     EXPECT_TRUE(boolAt(good, "feasible"));
+}
+
+TEST(ServeTest, OverlyNestedRequestAnswersWithAnError)
+{
+    ServeSession session(isolatedOptions());
+    std::string deep = std::string(200000, '[') + std::string(200000, ']');
+    JsonValue bad = parsed(session.handleLine(deep));
+    EXPECT_FALSE(boolAt(bad, "ok"));
+    ASSERT_NE(bad.get("error"), nullptr);
+
+    // The session survived and still answers.
+    JsonValue stats =
+        parsed(session.handleLine("{\"id\":2,\"kind\":\"stats\"}"));
+    EXPECT_TRUE(boolAt(stats, "ok"));
+    EXPECT_EQ(intAt(stats, "id"), 2);
+}
+
+TEST(ServeTest, DSEStatsSumsEveryCounterAndWritesTheResponseKeys)
+{
+    // += sums every counter: distinct values in both operands.
+    DSEStats a;
+    DSEStats b;
+    size_t counters = 0;
+    DSEStats::forEach(a, [&](const char *, size_t &v) { v = ++counters; });
+    size_t next = 0;
+    DSEStats::forEach(b, [&](const char *, size_t &v) { v = 100 * ++next; });
+    DSEStats sum = a;
+    sum += b;
+    JsonValue written_a = parsed("{" + a.jsonMembers() + "}");
+    JsonValue written_b = parsed("{" + b.jsonMembers() + "}");
+    JsonValue written = parsed("{" + sum.jsonMembers() + "}");
+    ASSERT_EQ(written.object.size(), counters); // One key per counter.
+    for (const auto &[key, value] : written.object)
+        EXPECT_EQ(value.asInt(),
+                  intAt(written_a, key.c_str()) +
+                      intAt(written_b, key.c_str()))
+            << key;
+
+    // The numeric members of a live DSE response (besides its id) are
+    // exactly the writer's keys.
+    ServeSession session(isolatedOptions());
+    JsonValue response = parsed(session.handleLine(gemmRequest(1, 7)));
+    ASSERT_TRUE(boolAt(response, "feasible"));
+    std::set<std::string> response_keys;
+    for (const auto &[key, value] : response.object)
+        if (value.isNumber() && key != "id")
+            response_keys.insert(key);
+    std::set<std::string> written_keys;
+    for (const auto &[key, value] : written.object)
+        written_keys.insert(key);
+    EXPECT_EQ(response_keys, written_keys);
+    EXPECT_GT(intAt(response, "evaluations"), 0);
 }
 
 TEST(ServeTest, StatsSaveAndQuitRequests)

@@ -2,9 +2,9 @@
  * @file
  * Tests of the scalehls-smith generator and differential oracle: the
  * generator is a pure function of (config, seed) and covers the
- * buffer-ownership classes, the oracle's four evaluation paths agree on
- * healthy samples, an intentionally corrupted PLAN entry is caught, and
- * reproducer records replay exactly.
+ * buffer-ownership classes, the production evaluator agrees with the
+ * uncached reference on healthy samples, an intentionally corrupted
+ * PLAN entry is caught, and reproducer records replay exactly.
  */
 
 #include <set>
@@ -74,7 +74,7 @@ TEST(SmithGenerator, ConfigGatesTheRiskyShapes)
     }
 }
 
-TEST(SmithOracle, FourPathsAgreeOnHealthySamples)
+TEST(SmithOracle, ProductionMatchesReferenceOnHealthySamples)
 {
     SmithGenConfig gen;
     SmithOracleConfig oracle = quickOracle();

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "support/concurrent_cache.h"
+#include "support/json.h"
 #include "support/thread_pool.h"
 #include "support/utils.h"
 
@@ -306,6 +307,21 @@ TEST(ConcurrentCache, StatsConsistentUnderContention)
     EXPECT_EQ(cache.hits(), 32u);
     EXPECT_EQ(cache.misses(), 32u);
     EXPECT_EQ(cache.lookups(), 64u);
+}
+
+TEST(Json, NestingDeeperThanTheBoundIsRejected)
+{
+    auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(parseJson(nested(kMaxJsonDepth)).has_value());
+    EXPECT_FALSE(parseJson(nested(kMaxJsonDepth + 1)).has_value());
+    // Deep enough to overflow the stack of an unbounded recursive parser.
+    EXPECT_FALSE(parseJson(nested(200000)).has_value());
+    std::string objects;
+    for (int i = 0; i < 200000; ++i)
+        objects += "{\"a\":";
+    EXPECT_FALSE(parseJson(objects + "1").has_value());
 }
 
 } // namespace

@@ -224,8 +224,7 @@ main(int argc, char **argv)
         // internal one).
         EstimateCache estimate_cache;
         request.dse.applyCacheBounds(estimate_cache);
-        bool any_dse = run_dse || run_dse_funcs || !request.model.empty();
-        if (request.dse.crossPointCache && any_dse)
+        if (run_dse || run_dse_funcs || !request.model.empty())
             request.dse.sharedEstimates = &estimate_cache;
         // The tool owns the cache the exploration uses, so snapshot
         // persistence happens here (engines and the Compiler skip it
@@ -254,11 +253,9 @@ main(int argc, char **argv)
                 if (request.dse.partitionAwareBandKeys)
                     std::cerr << " (" << band_tier.maskedHits
                               << " partition-masked)";
-                if (request.dse.incrementalMaterialize) {
-                    std::cerr << "; ";
-                    report_tier("schedule tier",
-                                estimate_cache.scheduleStats());
-                }
+                std::cerr << "; ";
+                report_tier("schedule tier",
+                            estimate_cache.scheduleStats());
             }
             CacheStats plan_tier = estimate_cache.planStats();
             if (plan_tier.entries != 0 || plan_tier.lookups() != 0) {
@@ -268,25 +265,22 @@ main(int argc, char **argv)
             std::cerr << "\n";
         };
 
-        size_t audit_checks = 0;
-        size_t audit_violations = 0;
+        DSEStats dse_stats; // Summed over -dse and -dse-funcs.
         if (run_dse) {
             auto result = compiler.optimize(request);
             if (!result) {
                 std::cerr << "DSE found no feasible design\n";
                 return 1;
             }
-            std::cerr << "DSE materializations: "
-                      << result->fullMaterializations << " full, "
-                      << result->fastPathHits
-                      << " fast-path composed; finalized module "
+            std::cerr << "DSE stats: ";
+            result->stats.print(std::cerr);
+            std::cerr << "\nfinalized module "
                       << (result->moduleReused ? "reused"
                                                : "re-materialized")
                       << ", QoR "
                       << (result->qorVerified ? "verified" : "MISMATCH")
                       << "\n";
-            audit_checks += result->auditChecks;
-            audit_violations += result->auditViolations;
+            dse_stats += result->stats;
             report_cache();
         }
         if (run_dse_funcs) {
@@ -297,13 +291,12 @@ main(int argc, char **argv)
                 if (r.qor.feasible) {
                     std::cerr << "latency=" << r.qor.latency
                               << " DSP=" << r.qor.resources.dsp << " ("
-                              << r.evaluations << " evaluations)\n";
+                              << r.stats.evaluations << " evaluations)\n";
                     any_feasible = true;
                 } else {
                     std::cerr << "no feasible design\n";
                 }
-                audit_checks += r.auditChecks;
-                audit_violations += r.auditViolations;
+                dse_stats += r.stats;
             }
             report_cache();
             if (!any_feasible) {
@@ -365,9 +358,10 @@ main(int argc, char **argv)
                 return 1;
         }
         if (request.dse.auditMode && (run_dse || run_dse_funcs)) {
-            std::cerr << "dse-audit: " << audit_checks << " checks, "
-                      << audit_violations << " violations\n";
-            if (audit_violations != 0)
+            std::cerr << "dse-audit: " << dse_stats.auditChecks
+                      << " checks, " << dse_stats.auditViolations
+                      << " violations\n";
+            if (dse_stats.auditViolations != 0)
                 return 1;
         }
         if (request.dse.sharedEstimates &&

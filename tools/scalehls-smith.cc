@@ -1,12 +1,12 @@
 /**
  * @file
- * scalehls-smith: seeded random-kernel generator + four-path
- * differential oracle. Every sample is generated from a pure
- * (config, seed) pair, L1/L2-verified at birth, and its design points
- * are evaluated through plan-first, schedule-composed, band-cached and
- * uncached-reference evaluation at 1 and N threads; ANY QoR,
- * counter-invariant or L3/L4 audit divergence fails the run and dumps a
- * JSON reproducer that `--replay` re-executes exactly.
+ * scalehls-smith: seeded random-kernel generator + differential
+ * oracle. Every sample is generated from a pure (config, seed) pair,
+ * L1/L2-verified at birth, and its design points are evaluated by the
+ * uncached reference and by the production evaluation cascade at 1 and
+ * N threads; ANY QoR, counter-invariant or L3/L4 audit divergence fails
+ * the run and dumps a JSON reproducer that `--replay` re-executes
+ * exactly.
  *
  * The exploration knobs come in through the same unified ExploreRequest
  * flag surface as scalehls-opt (-dse-threads, -dse-audit, the space
@@ -168,7 +168,7 @@ selfTest(const SmithGenConfig &gen, SmithOracleConfig oracle,
 
         // Dump the catch as a reproducer record and prove --replay
         // re-executes it exactly (regeneration + re-detection).
-        SmithDivergence record{"self-test@plan-first@1t",
+        SmithDivergence record{"self-test@production@1t",
                                "corrupted PLAN entry caught", {}};
         std::string json = reproducerJson(sample, oracle, record);
         {
