@@ -5,7 +5,7 @@
  * multi-function dataflow designs (cross-point FUNCTION-tier cache), plus
  * a DSE-like sweep over a multi-band kernel (2mm) comparing the
  * function-tier-only configuration against the band-level cache tier,
- * a band-incremental materialization section (fast-path composition vs
+ * a band-incremental materialization section (plan-first composition vs
  * the full cleanup+partition+estimate pipeline, materializations per
  * evaluated point pinned strictly below 1.0), a partition-aware
  * band-key section (masked vs partition-sensitive keying on a
@@ -249,11 +249,12 @@ runBandCacheSection(const std::vector<unsigned> &configs)
 
 /** Band-incremental materialization throughput: an II cross-product
  * sweep over 2mm's two bands, evaluated border points first (each band
- * variant materializes fully once, seeding the schedule tier) and
- * interior points second (every band hits, so cleanup + partition + the
- * estimator walk are skipped and the QoR is composed from cached
- * entries). Hard checks: interior points all take the fast path (full
- * materializations per evaluated point strictly below 1.0), the
+ * variant is built once through the plan-first overlay, seeding the
+ * schedule tier) and interior points second (every band hits, so no IR
+ * is built and the QoR is composed from cached entries). Hard checks:
+ * interior points all compose with zero IR (`fast_path_hits`, filled
+ * from plan_composed, equals the interior count; full materializations
+ * per evaluated point strictly below 1.0), the
  * production evaluator stays bit-identical to the sequential uncached
  * reference at every thread count, and its throughput does not fall
  * below the reference's (with slack for CI timing noise). */
@@ -317,7 +318,7 @@ runMaterializationSection(const std::vector<unsigned> &configs,
         for (size_t i = 0; incr_identical && i < results.size(); ++i)
             incr_identical = identical(results[i], reference[i]);
         size_t full = evaluator.stats().fullMaterializations;
-        size_t fast = evaluator.stats().fastPathHits;
+        size_t fast = evaluator.stats().planComposed;
 
         double per_point =
             static_cast<double>(full) / static_cast<double>(all.size());
@@ -579,8 +580,8 @@ runProbeSection(const std::vector<unsigned> &configs, bool smoke)
 
 /** Audit-mode overhead and coverage: the probe sweep (2mm) and a DNN
  * kernel sweep run twice on fresh caches — auditing off, then on — and
- * a warm replay through a fresh evaluator drives the audited fast paths
- * (plan compose / overlay / schedule compose). Hard checks per design
+ * a warm replay through a fresh evaluator drives the audited plan-first
+ * decisions (zero-IR compose / overlay). Hard checks per design
  * and thread count: the auditors actually engage (checks > 0), they find
  * NOTHING on a healthy run (violations == 0), both configurations stay
  * bit-identical to the sequential uncached reference, and audited
@@ -616,8 +617,8 @@ runAuditedSweep(const char *design, DesignSpace &space,
             auto first = evaluator.evaluateBatch(border);
             auto second = evaluator.evaluateBatch(interior);
             // Warm replay through a FRESH evaluator (empty memo): every
-            // point re-decides through the fast paths, which is where
-            // the L3/L4 auditors live.
+            // point re-decides through the planner, which is where the
+            // L3/L4 auditors live.
             CachingEvaluator replay(space, &pool, &cache, options);
             auto replayed = replay.evaluateBatch(all);
             double seconds = std::chrono::duration<double>(
@@ -678,7 +679,7 @@ bool
 runAuditSection(const std::vector<unsigned> &configs, bool smoke)
 {
     std::printf("=== Audit mode (L3 overlay aliasing + L4 cache "
-                "coherence at every fast-path decision) ===\n\n");
+                "coherence at every plan-first decision) ===\n\n");
 
     bool ok = true;
     {
@@ -711,9 +712,9 @@ runAuditSection(const std::vector<unsigned> &configs, bool smoke)
                               configs);
     }
 
-    // One DNN kernel: the alloc-carrying dataflow-stage workload whose
-    // fast path goes through evaluateScheduled (the L4 band-coherence
-    // and entry-shape audits) rather than the planner.
+    // One DNN kernel: the alloc-carrying dataflow-stage workload, whose
+    // chain buffers exercise the planner's ownership notes and the L4
+    // entry-shape audits.
     {
         auto kernels = buildDNNKernelModules("resnet18", 4, 1);
         if (kernels.empty()) {
@@ -756,8 +757,8 @@ runAuditSection(const std::vector<unsigned> &configs, bool smoke)
  * intermediate feature maps are LOCAL allocs in the init / accumulate /
  * consume chain pattern) and its first kernels swept over an II
  * cross-product of their first two bands, border points first. Hard
- * checks per model and thread count: the fast path engages
- * (fastPathHits > 0), full materializations per evaluated point stay
+ * checks per model and thread count: zero-IR composition engages
+ * (plan_composed > 0), full materializations per evaluated point stay
  * strictly below 1.0, and every configuration is bit-identical to the
  * sequential uncached reference — the acceptance pin CI's dnn-bench job
  * enforces. */
@@ -850,7 +851,7 @@ runDNNSection(const std::vector<unsigned> &configs, bool smoke)
                 for (size_t i = 0; i < results.size(); ++i)
                     matches &= identical(results[i], references[k][i]);
                 full += evaluator.stats().fullMaterializations;
-                fast += evaluator.stats().fastPathHits;
+                fast += evaluator.stats().planComposed;
             }
             double seconds =
                 std::chrono::duration<double>(
@@ -865,6 +866,8 @@ runDNNSection(const std::vector<unsigned> &configs, bool smoke)
             std::printf("%-10u %-14zu %-14zu %-12.3f %-12.1f %s\n",
                         threads, full, fast, per_point, rate,
                         structural ? "yes" : "NO (BUG)");
+            // "fast_path_hits" keeps its historical name so the pinned
+            // baselines stay comparable; it counts plan_composed points.
             std::printf(
                 "JSON {\"bench\":\"estimator_dnn\",\"design\":\"%s-g4\","
                 "\"threads\":%u,\"kernels\":%zu,\"points\":%zu,"

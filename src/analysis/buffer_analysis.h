@@ -2,10 +2,11 @@
  * @file
  * Buffer-ownership analysis over a function's locally allocated memrefs:
  * which top-level loop band(s) a buffer's defs/uses are confined to. The
- * band-incremental DSE fast path uses it to decide whether the
- * function-wide cleanup pipeline is provably band-local on alloc-carrying
- * functions (DNN accelerator stages, dataflow channel buffers), and to
- * replay the memory-resource accounting of the skipped phase 2.
+ * plan-first DSE evaluator (dse/band_plan.h) uses it to decide whether
+ * the function-wide cleanup pipeline is provably band-local on
+ * alloc-carrying functions (DNN accelerator stages, dataflow channel
+ * buffers), and to replay the memory-resource accounting of the skipped
+ * phase 2.
  */
 
 #ifndef SCALEHLS_ANALYSIS_BUFFER_ANALYSIS_H

@@ -55,7 +55,7 @@ ExploreRequest::applyEnvDefaults()
     // rewrites the defaults, not user choices made afterwards.
     dse.cacheLoadPath = defaultCacheSnapshotPath();
     dse.cacheSavePath = defaultCacheSnapshotPath();
-    // $SCALEHLS_DSE_AUDIT -> L3/L4 auditors on every fast-path decision.
+    // $SCALEHLS_DSE_AUDIT -> L3/L4 auditors on every plan-first decision.
     dse.auditMode = EvaluatorOptions::dseAuditEnvDefault();
     return *this;
 }
@@ -272,7 +272,7 @@ exploreFlagUsage()
            "  -cache-save=<path>  snapshot saved after DSE; both paths\n"
            "                    default to $SCALEHLS_CACHE_DIR/\n"
            "                    estimate_cache.shlsnap when set\n"
-           "  -dse-audit[=<0|1>]  audit every DSE fast-path decision\n"
+           "  -dse-audit[=<0|1>]  audit every DSE plan-first decision\n"
            "                    (L3/L4); findings exit nonzero.\n"
            "                    SCALEHLS_DSE_AUDIT sets the default\n";
 }

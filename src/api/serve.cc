@@ -131,8 +131,6 @@ ServeSession::ServeSession(const ServeOptions &options)
 {
     if (options_.tierCaps.any())
         cache_.setTierMaxEntries(options_.tierCaps);
-    else if (options_.cacheCap != 0)
-        cache_.setMaxEntries(options_.cacheCap);
     if (!options_.cacheLoadPath.empty())
         load_result_ =
             loadEstimateCacheLogged(cache_, options_.cacheLoadPath);

@@ -52,8 +52,7 @@ struct ServeOptions
      * $SCALEHLS_CACHE_DIR hook; "" disables. */
     std::string cacheLoadPath = defaultCacheSnapshotPath();
     std::string cacheSavePath = defaultCacheSnapshotPath();
-    /** Cache bounds (see DSEOptions): per-tier caps win when any set. */
-    size_t cacheCap = 0;
+    /** Per-tier cache bounds (see DSEOptions::estimateCacheTierCaps). */
     EstimateCacheTierCaps tierCaps;
     /** Additionally save the snapshot every N completed requests
      * (0 = only at shutdown) — bounds snapshot loss on a crash. */

@@ -25,10 +25,10 @@ BandPlanner::BandPlanner(const DesignSpace &space,
         return;
     func_name_ = funcName(func_);
 
-    // Mirror DesignSpace::fastPathEligible on the PRISTINE function: the
-    // structural transforms never add calls, flat-scope accesses or
-    // directives, so pristine eligibility implies phase-1 eligibility
-    // for every materializable point.
+    // Eligibility is decided on the PRISTINE function: the structural
+    // transforms never add calls, flat-scope accesses or directives, so
+    // pristine eligibility implies phase-1 eligibility for every
+    // materializable point.
     FuncDirective fd = getFuncDirective(func_);
     if (fd.pipeline)
         return;
@@ -162,16 +162,11 @@ BandPlanner::evaluate(const DesignSpace::Point &point) const
     DesignSpace::Decoded d = space_.decode(point);
     if (d.bands.size() != seeds_.size())
         return out;
-    // Mirror beginMaterialize's early unroll-product rejection: such
-    // points are infeasible before any IR exists on the legacy path too.
-    for (const DesignSpace::BandChoice &choice : d.bands) {
-        int64_t product = 1;
-        for (int64_t t : choice.tileSizes)
-            product *= t;
-        if (product > space_.spaceOptions().maxTotalUnroll) {
-            out.kind = Outcome::Kind::Infeasible;
-            return out;
-        }
+    // The materializer's unroll cap: such points are infeasible before
+    // any IR exists on the full pipeline too.
+    if (!space_.withinUnrollCap(d)) {
+        out.kind = Outcome::Kind::Infeasible;
+        return out;
     }
 
     size_t n = seeds_.size();
@@ -194,7 +189,7 @@ BandPlanner::evaluate(const DesignSpace::Point &point) const
             return out;
         }
         if (!inputs.plans[b]->composable)
-            return out; // This band can never compose: legacy path.
+            return out; // This band can never compose: full pipeline.
     }
 
     bool all_hit = true;
@@ -273,8 +268,8 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     for (const auto &[base, overlay] : ov.map)
         reverse[overlay] = base;
 
-    // Phase 1 on each missed band: replay beginMaterialize's per-band
-    // transform sequence verbatim, then verify (or record) the plan.
+    // Phase 1 on each missed band: the materializer's per-band
+    // transform sequence, then verify (or record) the plan.
     std::vector<Operation *> current(n, nullptr);
     std::vector<std::optional<BandDigestInfo>> infos(n);
     std::vector<BandPlanOutcome> outcomes(n);
@@ -286,21 +281,8 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
         auto ci = ov.children.find(roots_[b]);
         if (ci == ov.children.end())
             return out;
-        std::vector<Operation *> band{ci->second};
-        if (d.loopPerfectization)
-            applyLoopPerfectization(band.front());
-        if (d.removeVariableBound)
-            applyRemoveVariableBound(band.front());
-        if (d.loopPerfectization && d.removeVariableBound)
-            applyLoopPerfectization(band.front());
-        band = getLoopNest(band.front());
-        const DesignSpace::BandChoice &choice = d.bands[b];
-        if (band.size() == choice.permMap.size())
-            applyLoopPermutation(band, choice.permMap);
-        if (band.size() == choice.tileSizes.size())
-            band = applyLoopTiling(band, choice.tileSizes);
-        if (band.empty() ||
-            !applyLoopPipelining(band.back(), choice.targetII)) {
+        current[b] = DesignSpace::applyBandSchedule(ci->second, d, b);
+        if (!current[b]) {
             // The transforms fail for every point selecting this choice;
             // record that so future points skip the overlay entirely.
             estimates_->insertPlan(inputs.keys[b], BandPlanOutcome{});
@@ -308,7 +290,6 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
             out.usedOverlay = true;
             return out;
         }
-        current[b] = band.front();
 
         infos[b] = bandEstimateDigestInfo(
             current[b], /*mask_partitions=*/false, &overlay_own);
@@ -381,7 +362,7 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     }
 
     // Phase 2, band-locally: the function-wide cleanup pipeline is
-    // provably band-local on eligible functions (that is the fast path's
+    // provably band-local on eligible functions (that is the planner's
     // core invariant), so replaying it per missed band — with the one
     // cross-band pass, removeWriteOnlyBuffers, reduced to erasing the
     // predicted-dead buffers' stores — produces the bands the full
@@ -517,8 +498,7 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     // Publication is gated on composition success: the compose-time
     // validations (kept buffer with no reader, assumed-vs-merged
     // partition plans) are exactly the checks that catch a cleanup
-    // outcome diverging from the phase-1 ownership prediction, standing
-    // in for the full path's finalOwnershipMatches.
+    // outcome diverging from the phase-1 ownership prediction.
     for (size_t b = 0; b < n; ++b)
         if (fresh[b])
             estimates_->insertSchedule(outcomes[b].digest, entries[b]);

@@ -124,64 +124,25 @@ class DesignSpace
     };
     Decoded decode(const Point &point) const;
 
-    /** Clone the pristine module and apply the point's schedule: LP, RVB,
-     * then per band permutation, tiling, pipelining, followed by
-     * simplification and array partition. Returns nullptr when the point
-     * is not materializable (e.g. unroll product too large, pipelining
-     * fails). Equivalent to finishMaterialize(beginMaterialize(point)). */
+    /** Clone the pristine module and apply the point's schedule: per
+     * band applyBandSchedule, then the function-wide cleanup pipeline
+     * and array partition. Returns nullptr when the point is not
+     * materializable (e.g. unroll product too large, pipelining
+     * fails). */
     std::unique_ptr<Operation> materialize(const Point &point) const;
 
-    /** Phase 1 of a materialization: the per-band structural transforms
-     * (LP/RVB, permutation, tiling, pipelining) plus the fast-path
-     * bookkeeping — each band's phase-1 digest and eligibility for the
-     * band-incremental evaluation (composeScheduledQoR). Phase 2
-     * (finishMaterialize) runs the function-wide cleanup pipeline and
-     * array partition; the split lets a caller whose bands all hit the
-     * schedule cache tier skip phase 2 — and the estimator walk —
-     * entirely. */
-    struct Partial
-    {
-        /** Phase-1 module; nullptr when the point is not
-         * materializable. */
-        std::unique_ptr<Operation> module;
-        Operation *func = nullptr;
-        /** Top-level band roots of func, body order. */
-        std::vector<Operation *> bandRoots;
-        /** Function-level fast-path preconditions hold: a sequential or
-         * dataflow (not pipelined) top whose body is bands, constants,
-         * allocs and the return only, with every local buffer owned
-         * (bandLocalAllocs) — exactly the conditions under which the
-         * cleanup pipeline is band-local, so per-band schedule entries
-         * keyed by phase-1 digests are publishable even when some bands
-         * are individually ineligible. */
-        bool funcEligible = false;
-        /** funcEligible AND every band digested: the whole-point fast
-         * path (composeScheduledQoR) may engage. */
-        bool eligible = false;
-        /** The function carries the dataflow directive (stage-overlap
-         * composition, double-buffered channels). */
-        bool dataflowTop = false;
-        /** Per-band phase-1 digests, aligned with bandRoots (filled when
-         * funcEligible): the per-band eligibility mask — a nullopt band
-         * (e.g. one containing a call) neither populates nor consumes
-         * the schedule tier, but its digestable siblings still do. */
-        std::vector<std::optional<BandDigestInfo>> bandDigests;
-        /** Ownership of the function's local buffers (valid when
-         * funcEligible). */
-        AllocOwnershipInfo ownership;
-    };
-    Partial beginMaterialize(const Point &point) const;
-    /** Phase 2: function-wide cleanup + array partition, in place;
-     * returns the finished module (nullptr when phase 1 failed). */
-    std::unique_ptr<Operation> finishMaterialize(Partial &partial) const;
+    /** False when some band's tile-size product exceeds maxTotalUnroll:
+     * such points are infeasible before any IR is built. */
+    bool withinUnrollCap(const Decoded &decoded) const;
 
-    /** True when phase 2 preserved the phase-1 ownership prediction: the
-     * surviving allocs of the (finished) function are exactly the
-     * buffers the analysis predicted kept. Publishing schedule entries
-     * from a point whose cleanup diverged from the prediction would key
-     * band content the phase-1 digest does not determine; callers must
-     * check this before insertSchedule. */
-    static bool finalOwnershipMatches(const Partial &partial);
+    /** The per-band structural transforms of @p decoded's band @p band,
+     * in their one canonical order: LP, RVB, LP again when both are on,
+     * then permutation, tiling and pipelining. Transforms the band
+     * rooted at @p root in place and returns its new root; nullptr when
+     * tiling or pipelining fails. Shared by materialize and the
+     * plan-first overlay (BandPlanner). */
+    static Operation *applyBandSchedule(Operation *root,
+                                        const Decoded &decoded, size_t band);
 
     /** Per-memref partition factors of a materialized design, formatted
      * like Table III ("A:[8, 16]"). */
@@ -191,10 +152,6 @@ class DesignSpace
      * Callers must treat it as immutable — the plan-first evaluator
      * reads it concurrently from every DSE worker. */
     Operation *pristineModule() const { return pristine_.get(); }
-
-    /** The option set the space was built with (the planner mirrors
-     * the materializer's bounds, e.g. maxTotalUnroll). */
-    const DesignSpaceOptions &spaceOptions() const { return options_; }
 
   private:
     /** The tunable sub-space of one top-level band. */
@@ -208,10 +165,6 @@ class DesignSpace
 
     /** The deepest band (ties resolved to the first). */
     size_t primaryBandIndex() const;
-
-    /** The function-level fast-path eligibility rule (see Partial);
-     * fills partial.ownership as a side effect. */
-    bool fastPathEligible(Partial &partial) const;
 
     std::unique_ptr<Operation> pristine_;
     DesignSpaceOptions options_;

@@ -91,8 +91,6 @@ DSEOptions::applyCacheBounds(EstimateCache &cache) const
 {
     if (estimateCacheTierCaps.any())
         cache.setTierMaxEntries(estimateCacheTierCaps);
-    else if (estimateCacheCap != 0)
-        cache.setMaxEntries(estimateCacheCap);
 }
 
 std::vector<FrontierPoint>
@@ -140,7 +138,7 @@ DSEEngine::materializeEvaluated(const EvaluatedPoint &chosen)
     // Re-estimate against the still-warm content-keyed caches (a
     // function-tier hit makes this a digest + lookup, not a walk) and
     // check the module really carries the QoR the frontier promised —
-    // this also end-to-end-verifies any fast-path composition that fed
+    // this also end-to-end-verifies any plan-first composition that fed
     // the chosen point's cached result.
     QoREstimator estimator(module.get(), pool_.get(), estimates_in_use_,
                            options_.bandLevelCache,

@@ -43,7 +43,7 @@ struct DSEOptions
      * band of the same function (keyed by a self-contained band digest,
      * so digest-identical bands share even across functions). Content-
      * keyed: never changes results. The schedule and plan tiers, and so
-     * the fast path and plan-first evaluation, build on it. */
+     * plan-first evaluation, build on it. */
     bool bandLevelCache = true;
     /** Partition-aware band keys: mask external memref layout dims the
      * band's estimate provably never reads out of the band digest, so
@@ -54,22 +54,19 @@ struct DSEOptions
      * keying (kept for A/B comparison). */
     bool partitionAwareBandKeys = true;
     /** Audit mode (`-dse-audit` / SCALEHLS_DSE_AUDIT): run the L3/L4
-     * auditors — overlay aliasing, overlay IR verification, band digest
-     * coherence, schedule-entry shape — at every fast-path decision of
+     * auditors — overlay aliasing, overlay IR verification, PLAN digest
+     * agreement, schedule-entry shape — at every plan-first decision of
      * the evaluator. A finding is counted, reported on stderr, and
-     * forces the affected point onto the validated slow path, so an
-     * audited run can be slower but never wrong. */
+     * forces the affected point onto the full pipeline, so an audited
+     * run can be slower but never wrong. */
     bool auditMode = EvaluatorOptions::dseAuditEnvDefault();
-    /** Max entries PER TIER of the engine-owned estimate cache (coarse
-     * LRU eviction; 0 = unbounded). Bounds memory on week-long sweeps
-     * without changing results; external sharedEstimates caches are the
-     * caller's to bound. */
-    size_t estimateCacheCap = 0;
-    /** Independent per-tier bounds (func/band/schedule/plan); when any
-     * field is nonzero this overrides estimateCacheCap entirely —
-     * schedule/plan entries are far heavier than function QoRs, so
-     * persistent deployments size the tiers separately
-     * (`-dse-cache-cap=f:b:s:p`). */
+    /** Max entries per tier (func/band/schedule/plan) of the
+     * engine-owned estimate cache (coarse LRU eviction; 0 = that tier
+     * unbounded). Bounds memory on week-long sweeps without changing
+     * results; external sharedEstimates caches are the caller's to
+     * bound. `-dse-cache-cap=<n>` caps every tier at n,
+     * `-dse-cache-cap=f:b:s:p` sizes them separately — schedule/plan
+     * entries are far heavier than function QoRs. */
     EstimateCacheTierCaps estimateCacheTierCaps;
     /** Snapshot persistence (estimate/cache_io): load the estimate cache
      * from cacheLoadPath before exploring and save it to cacheSavePath
@@ -88,8 +85,8 @@ struct DSEOptions
      * creates a per-exploration cache. */
     EstimateCache *sharedEstimates = nullptr;
 
-    /** Apply the cache bounds to @p cache: the per-tier caps when any
-     * are set, else the uniform estimateCacheCap. */
+    /** Apply the per-tier cache bounds to @p cache (when any are
+     * set). */
     void applyCacheBounds(EstimateCache &cache) const;
 };
 

@@ -19,24 +19,23 @@ namespace scalehls {
  *   evaluator on its own leaves it 0);
  * - memo: materializations (memo misses), cache_hits (memo hits),
  *   batch_dedups (duplicate in-batch slots served by a sibling);
- * - how each memo miss was answered: full_materializations (the full
- *   pipeline), fast_path_hits (composed from the schedule tier,
- *   plan-composed points included), overlay_materializations (only the
- *   schedule-tier misses among the bands were built), plan_infeasible
- *   (proved infeasible with zero IR); plan_composed counts the fast-path
- *   hits that built no IR at all;
+ * - how each memo miss was answered, exactly one of:
+ *   full_materializations (the full pipeline), overlay_materializations
+ *   (plan-first, only the schedule-tier misses among the bands were
+ *   built), plan_composed (plan-first, composed from the schedule tier
+ *   with zero IR built), plan_infeasible (proved infeasible with zero
+ *   IR);
  * - plan_mismatches: overlay materializations whose phase-1 digest
  *   contradicted the PLAN tier (they fell back to the full pipeline);
  * - audit_checks / audit_violations: L3/L4 auditor invocations and
- *   findings (zero unless auditing; every finding forced the slow
- *   path). */
+ *   findings (zero unless auditing; every finding forced the full
+ *   pipeline). */
 #define SCALEHLS_DSE_STATS_COUNTERS(X)                                       \
     X(evaluations, "evaluations")                                            \
     X(materializations, "materializations")                                  \
     X(cacheHits, "cache_hits")                                               \
     X(batchDedups, "batch_dedups")                                           \
     X(fullMaterializations, "full_materializations")                         \
-    X(fastPathHits, "fast_path_hits")                                        \
     X(overlayMaterializations, "overlay_materializations")                   \
     X(planInfeasible, "plan_infeasible")                                     \
     X(planComposed, "plan_composed")                                         \

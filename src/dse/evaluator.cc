@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "dse/pareto.h"
-#include "estimate/coherence_audit.h"
 
 namespace scalehls {
 
@@ -29,102 +28,12 @@ CachingEvaluator::recordAuditFindings(
     return true;
 }
 
-std::optional<QoRResult>
-CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial,
-                                    DSEStats &stats)
-{
-    if (!partial.eligible ||
-        partial.bandDigests.size() != partial.bandRoots.size())
-        return std::nullopt;
-
-    // Hold the looked-up entries by value (the sharded cache returns
-    // copies) and compose only when EVERY band hit.
-    std::string func_name = funcName(partial.func);
-    std::vector<BandScheduleEntry> entries;
-    entries.reserve(partial.bandDigests.size());
-    for (size_t i = 0; i < partial.bandDigests.size(); ++i) {
-        auto entry = estimates_->lookupSchedule(
-            partial.bandDigests[i]->digest,
-            func_name + "#" + std::to_string(i));
-        if (!entry)
-            return std::nullopt;
-        entries.push_back(std::move(*entry));
-    }
-
-    if (options_.audit) {
-        // L4: re-derive each band's digest from the phase-1 IR and
-        // shape-check each entry against the external table that will
-        // resolve it. Any finding drops the point to the full pipeline.
-        std::vector<VerifyError> findings;
-        for (size_t i = 0; i < entries.size(); ++i) {
-            ++stats.auditChecks;
-            auto coherent = auditBandCoherence(
-                partial.bandRoots[i], partial.bandDigests[i]->digest,
-                &partial.ownership);
-            findings.insert(findings.end(), coherent.begin(),
-                            coherent.end());
-            auto shaped = auditScheduleEntry(
-                entries[i], partial.bandDigests[i]->externals,
-                func_name + "#" + std::to_string(i));
-            findings.insert(findings.end(), shaped.begin(),
-                            shaped.end());
-        }
-        if (recordAuditFindings(findings, stats))
-            return std::nullopt;
-    }
-
-    ScheduledFunction function;
-    function.dataflow = partial.dataflowTop;
-    function.bands.reserve(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i)
-        function.bands.push_back(
-            {&entries[i], &partial.bandDigests[i]->externals});
-    for (const OwnedBuffer &buffer : partial.ownership.buffers)
-        function.allocs.push_back({buffer.memref, buffer.kept});
-    return composeScheduledQoR(function);
-}
-
-void
-CachingEvaluator::insertScheduleEntries(
-    const DesignSpace::Partial &partial, const QoREstimator &estimator)
-{
-    // The cleanup pipeline may have erased bands (e.g. emptied bodies);
-    // entries are only replayable when the phase-1 bands map 1:1 onto
-    // the final ones (cleanup never reorders or splits top-level loops).
-    // Likewise, a cleanup outcome that falsified the phase-1 ownership
-    // prediction (a kept buffer dissolved, a dead one survived) would
-    // publish band content the phase-1 digests do not determine.
-    auto final_bands = getLoopBands(partial.func);
-    if (final_bands.size() != partial.bandDigests.size())
-        return;
-    if (!DesignSpace::finalOwnershipMatches(partial))
-        return;
-    const auto &band_estimates = estimator.lastBandEstimates();
-    for (size_t i = 0; i < final_bands.size(); ++i) {
-        if (!partial.bandDigests[i])
-            continue; // Masked band (e.g. contains a call).
-        auto it = band_estimates.find(final_bands[i].front());
-        if (it == band_estimates.end())
-            continue; // Function-tier hit skipped the band walk.
-        auto entry = buildBandScheduleEntry(
-            final_bands[i].front(), it->second,
-            partial.bandDigests[i]->externals);
-        if (entry) {
-            entry->origin =
-                funcName(partial.func) + "#" + std::to_string(i);
-            estimates_->insertSchedule(partial.bandDigests[i]->digest,
-                                       *entry);
-        }
-    }
-}
-
 QoRResult
 CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
                                 DSEStats &stats,
                                 std::unique_ptr<Operation> *module_out)
 {
     ++stats.materializations;
-    const bool incremental = estimates_ && options_.bandCache;
 
     QoRResult result;
     auto finalize = [&](QoRResult qor) {
@@ -146,18 +55,13 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
         recordAuditFindings(planned.auditFindings, stats);
         switch (planned.kind) {
           case BandPlanner::Outcome::Kind::Composed:
-            if (planned.usedOverlay) {
+            if (planned.usedOverlay)
                 ++stats.overlayMaterializations;
-            } else {
-                // Zero IR built: count it as a fast-path hit too — it is
-                // the same validated band-incremental composition, minus
-                // even the phase-1 transforms.
-                ++stats.fastPathHits;
+            else
                 ++stats.planComposed;
-            }
             return finalize(planned.qor);
           case BandPlanner::Outcome::Kind::Infeasible:
-            // Exactly what the legacy path returns for a point whose
+            // Exactly what the full pipeline returns for a point whose
             // materialization fails — minus the clone and transforms.
             ++stats.planInfeasible;
             result.latency = kInfeasibleQoR;
@@ -167,27 +71,12 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
           case BandPlanner::Outcome::Kind::Fallback:
             if (planned.mismatched)
                 ++stats.planMismatches;
-            break; // Run the validated legacy pipeline below.
-        }
-    }
-
-    DesignSpace::Partial partial;
-    if (incremental) {
-        partial = space_.beginMaterialize(point);
-        if (partial.module) {
-            if (auto composed = evaluateScheduled(partial, stats)) {
-                // Every band hit the schedule tier and validated: the
-                // composed QoR is bit-identical to what the skipped
-                // cleanup + partition + estimator walk would produce.
-                ++stats.fastPathHits;
-                return finalize(*composed);
-            }
+            break; // Run the full pipeline below.
         }
     }
 
     ++stats.fullMaterializations;
-    auto module = incremental ? space_.finishMaterialize(partial)
-                              : space_.materialize(point);
+    auto module = space_.materialize(point);
     if (!module) {
         result.latency = kInfeasibleQoR;
         result.interval = kInfeasibleQoR;
@@ -199,11 +88,6 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
                            options_.bandCache,
                            options_.partitionAwareKeys);
     result = finalize(estimator.estimateModule());
-    // funcEligible (not the all-band `eligible`): a mixed function whose
-    // call-carrying bands are masked out still publishes entries for its
-    // digestable bands.
-    if (incremental && partial.funcEligible)
-        insertScheduleEntries(partial, estimator);
     if (module_out)
         *module_out = std::move(module);
     return result;

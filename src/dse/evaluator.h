@@ -59,10 +59,10 @@ struct EvaluatorOptions
      * bandEstimateDigestInfo). */
     bool partitionAwareKeys = true;
     /** Audit mode (`-dse-audit` / SCALEHLS_DSE_AUDIT): run the L3/L4
-     * auditors (overlay aliasing, cache coherence, schedule-entry shape,
-     * overlay IR verification) at every fast-path decision. A finding is
-     * counted, reported, and forces the slow path — audited runs trade
-     * time for proof, never correctness. */
+     * auditors (overlay aliasing, schedule-entry shape, overlay IR
+     * verification) at every plan-first decision. A finding is counted,
+     * reported, and forces the full pipeline — audited runs trade time
+     * for proof, never correctness. */
     bool audit = dseAuditEnvDefault();
 
     /** The env default for `audit`: set SCALEHLS_DSE_AUDIT (any value
@@ -75,13 +75,12 @@ struct EvaluatorOptions
  * cache, batches spread over @p pool (nullptr or a 1-wide pool runs
  * inline). The cache is keyed on the full point vector, so re-probing an
  * already-evaluated point is a lookup, not a re-materialization. A miss
- * runs one cascade: plan-first composition when the kernel's shape
- * allows it (BandPlanner), then the band-incremental fast path
- * (phase-1 transforms + the schedule tier) when the point is eligible,
- * then the full pipeline. Without an estimate cache, or with the band
- * tier off, every miss runs the full pipeline: `CachingEvaluator(space)`
- * is the uncached reference the tests and the smith oracle compare the
- * cascade against.
+ * is answered by plan-first composition when the kernel's shape allows
+ * it (BandPlanner), otherwise — or when the planner falls back — by the
+ * full pipeline: DesignSpace::materialize, then QoREstimator. Without an
+ * estimate cache, or with the band tier off, every miss runs the full
+ * pipeline: `CachingEvaluator(space)` is the uncached reference the
+ * tests and the smith oracle compare the planner against.
  *
  * An infeasible estimate (unknown trips, call cycles, failed analysis)
  * is returned carrying the kInfeasibleQoR latency/interval sentinel —
@@ -142,21 +141,12 @@ class CachingEvaluator : public Evaluator
     const DSEStats &stats() const { return stats_; }
 
   private:
-    /** Uncached materialize + estimate of one point, counted into
-     * @p stats. @p module_out (optional) receives the materialized
-     * module when the full pipeline ran (the fast path composes the QoR
-     * without one). */
+    /** Evaluate one memo miss, counted into @p stats. @p module_out
+     * (optional) receives the materialized module when the full
+     * pipeline ran (plan-first composition builds none). */
     QoRResult evaluateFresh(const DesignSpace::Point &point,
                             DSEStats &stats,
                             std::unique_ptr<Operation> *module_out);
-    /** The band-incremental fast path; nullopt -> run the full
-     * pipeline. */
-    std::optional<QoRResult> evaluateScheduled(
-        const DesignSpace::Partial &partial, DSEStats &stats);
-    /** Publish the schedule-tier entries of a fully materialized,
-     * eligible point. */
-    void insertScheduleEntries(const DesignSpace::Partial &partial,
-                               const QoREstimator &estimator);
     /** Count + report audit findings (audit mode only). Returns true
      * when there was at least one finding. */
     static bool recordAuditFindings(

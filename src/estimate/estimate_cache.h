@@ -25,8 +25,8 @@ namespace scalehls {
 
 /** The cached outcome of planning one (pristine band, BandChoice) pair —
  * the PLAN tier's value type. A plan outcome predicts, without building
- * any IR, what the per-band structural transforms of beginMaterialize
- * would produce for this band:
+ * any IR, what the per-band structural transforms
+ * (DesignSpace::applyBandSchedule) would produce for this band:
  *
  *  - `materializable` false: the transforms fail (e.g. pipelining cannot
  *    legalize the band) — any point selecting this choice is infeasible,
@@ -97,11 +97,12 @@ std::string digestHashFingerprint();
  *    so digest-identical bands share even across functions);
  *  - the SCHEDULE tier maps PHASE-1 band digests (the content right
  *    after the per-band structural transforms, before cleanup and array
- *    partition) to BandScheduleEntry values — the band-incremental
- *    materialization fast path: a point whose bands all hit this tier
- *    skips the function-wide cleanup, array partition AND the estimator
- *    walk entirely (composeScheduledQoR re-validates the cross-band
- *    partition coupling before trusting an entry);
+ *    partition) to BandScheduleEntry values, filled by the plan-first
+ *    overlay: a band that hits this tier is never built, and a point
+ *    whose bands all hit skips the function-wide cleanup, array
+ *    partition AND the estimator walk entirely (composeScheduledQoR
+ *    re-validates the cross-band partition coupling before trusting an
+ *    entry);
  *  - the PLAN tier maps (pristine band, BandChoice) keys — bandPlanKey,
  *    no IR built — to BandPlanOutcome values, which predict the phase-1
  *    digest analytically: a point whose bands all hit PLAN and (through
@@ -199,21 +200,11 @@ class EstimateCache
     }
     ///@}
 
-    /** Bound each tier to @p max_entries_per_tier entries (coarse hit-count-informed LRU
-     * eviction; see ConcurrentCache::setMaxEntries). 0 = unbounded (the
-     * default). Content-keyed tiers just recompute evicted values, so
-     * bounding changes memory, never results. Set before populating. */
-    void
-    setMaxEntries(size_t max_entries_per_tier)
-    {
-        cache_.setMaxEntries(max_entries_per_tier);
-        bands_.setMaxEntries(max_entries_per_tier);
-        schedules_.setMaxEntries(max_entries_per_tier);
-        plans_.setMaxEntries(max_entries_per_tier);
-    }
-
-    /** Bound each tier independently (0 = that tier unbounded). Same
-     * LRU/memory-only semantics as setMaxEntries. */
+    /** Bound each tier independently (coarse hit-count-informed LRU
+     * eviction, see ConcurrentCache::setMaxEntries; 0 = that tier
+     * unbounded, the default). Content-keyed tiers just recompute
+     * evicted values, so bounding changes memory, never results. Set
+     * before populating. */
     void
     setTierMaxEntries(const EstimateCacheTierCaps &caps)
     {

@@ -514,8 +514,8 @@ QoREstimator::funcResources(Operation *func, EstimateContext &ctx)
     // glue ops, merged in body order so per-kind profile selection is
     // deterministic. The merge itself (pipelined contributions final per
     // band, sequential ops shared across bands, control-logic overhead)
-    // lives in BandResourceMerge so the incremental fast path composes
-    // with the identical arithmetic.
+    // lives in BandResourceMerge so plan-first composition uses the
+    // identical arithmetic.
     BandResourceMerge merge;
     for (auto &op : funcBody(func)->ops()) {
         if (op->is(ops::AffineFor)) {
@@ -735,8 +735,8 @@ trivialPlan(unsigned rank)
     return plan;
 }
 
-/** What the slow path's applied-then-decoded plan looks like: trivial
- * merges are never applied (the pristine layout — empty on fast-path
+/** What the full pipeline's applied-then-decoded plan looks like: trivial
+ * merges are never applied (the pristine layout — empty on plan-eligible
  * workloads — decodes trivial), non-trivial ones round-trip through the
  * layout-map codec, which e.g. renormalizes block factors. */
 PartitionPlan
@@ -767,7 +767,7 @@ composeScheduledQoR(const ScheduledFunction &function)
     // per-band contributions — the exact analyzeFunc/mergedPlans rule:
     // bands in body order, strictly-greater factor wins a dim, the first
     // writer keeps the kind on ties. The flat scope contributes nothing
-    // on fast-path-eligible functions (no accesses outside bands).
+    // on plan-eligible functions (no accesses outside bands).
     std::map<Value *, PartitionPlan> merged;
     for (const ScheduledBand &band : bands) {
         if (!band.entry || !band.externals)

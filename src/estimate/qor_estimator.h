@@ -66,8 +66,8 @@ EstimateDigests moduleEstimateDigests(Operation *module);
 std::vector<Operation *> collectDistinctCallees(Operation *func,
                                                 Operation *module);
 
-/** A band digest plus the context the incremental-materialization fast
- * path needs to interpret cache entries keyed by it. */
+/** A band digest plus the context plan-first evaluation needs to
+ * interpret cache entries keyed by it. */
 struct BandDigestInfo
 {
     std::string digest;
@@ -184,21 +184,21 @@ struct BandEstimate
     int64_t calls = 0;
 };
 
-/** One band's cached phase-2 outcome for the band-incremental
- * materialization fast path, keyed by the band's PHASE-1 digest (the
- * content right after the per-band structural transforms, BEFORE the
+/** One band's cached phase-2 outcome for plan-first evaluation
+ * (dse/band_plan.h), keyed by the band's PHASE-1 digest (the content
+ * right after the per-band structural transforms, BEFORE the
  * function-wide cleanup pipeline and array partition ran). The cleanup
- * passes are band-local on fast-path-eligible functions, so the final
+ * passes are band-local on plan-eligible functions, so the final
  * (post-cleanup) band content — and with it this entry's estimate and
  * partition contribution — is a pure function of the phase-1 digest. The
  * one cross-band coupling, the globally merged array-partition plan, is
  * captured by `assumed` and re-validated against the would-be merged
  * plan at every use, so a replayed QoR is bit-identical to what the
- * skipped slow path would have produced. */
+ * skipped full pipeline would have produced. */
 struct BandScheduleEntry
 {
-    /** The band's final estimate (as computed on the fully materialized
-     * module of the point that created this entry). */
+    /** The band's final estimate (as computed on the materialized
+     * band of the point that created this entry). */
     BandEstimate estimate;
 
     /** One record per memref the band's FINAL content accesses. */
@@ -240,7 +240,7 @@ struct ScheduledBand
     const std::vector<Value *> *externals = nullptr;
 };
 
-/** A whole fast-path point resolved against its cached schedule entries:
+/** A whole plan-first point resolved against its cached schedule entries:
  * the bands in function body order, the function-level composition mode
  * (sequential dependence scheduling vs dataflow stage overlap), and the
  * function's owned local buffers (phase-1 ownership), whose kept
@@ -334,8 +334,9 @@ class QoREstimator
     QoRResult estimateModule();
 
     /** The per-band estimates of the most recent estimateFunc run, keyed
-     * by band root. The evaluator reads these to build schedule-tier
-     * entries without re-walking the IR or round-tripping the cache. */
+     * by band root. The plan-first overlay reads these to build
+     * schedule-tier entries without re-walking the IR or round-tripping
+     * the cache. */
     const std::map<Operation *, BandEstimate> &lastBandEstimates() const
     {
         return last_bands_;
@@ -443,8 +444,9 @@ class QoREstimator
 };
 
 /** The function-level half of the resource model, shared between
- * funcResources (slow path) and composeScheduledQoR (fast path) so the
- * cross-band operator-sharing merge cannot drift between them: pipelined
+ * funcResources (full pipeline) and composeScheduledQoR (plan-first
+ * composition) so the cross-band operator-sharing merge cannot drift
+ * between them: pipelined
  * contributions sum directly, sequential op counts merge per kind (with
  * the first-seen profile, in band order) before instance sharing, and
  * loop/call counts feed the control-logic LUT overhead. */
@@ -467,9 +469,9 @@ class BandResourceMerge
     int64_t calls_ = 0;
 };
 
-/** Compose the whole-function QoR of a fast-path point from its bands'
+/** Compose the whole-function QoR of a plan-first point from its bands'
  * cached schedule entries, replaying exactly what estimateFuncImpl does
- * on a fast-path-eligible function (no callees, no flat-scope accesses,
+ * on a plan-eligible function (no callees, no flat-scope accesses,
  * every local buffer owned): the function-body composition over band
  * latencies — sequential dependence scheduling, or the dataflow stage
  * overlap (interval = max over stages) under a dataflow top — plus the
@@ -479,14 +481,14 @@ class BandResourceMerge
  * merge applyArrayPartition would run) and validates every entry's
  * `assumed` plan against them on partition-relevant dims, and the
  * entries' buffer accesses against the phase-1 ownership prediction;
- * returns nullopt — caller falls back to the full slow path — when any
+ * returns nullopt — caller falls back to the full pipeline — when any
  * validation fails or an entry cannot be resolved. A returned QoR is
- * bit-identical to the slow path's. */
+ * bit-identical to the full pipeline's. */
 std::optional<QoRResult> composeScheduledQoR(
     const ScheduledFunction &function);
 
-/** Build the schedule entry of @p band_root (a top-level band of a fully
- * materialized, fast-path-eligible function) from its final estimate and
+/** Build the schedule entry of @p band_root (a top-level band of a
+ * materialized, plan-eligible function) from its final estimate and
  * the phase-1 external-value table @p externals. Returns nullopt when
  * the band's accesses cannot be mapped back onto the phase-1 externals
  * (the entry would not be replayable). */

@@ -6,7 +6,7 @@
  * dataflow stages the per-kernel DSE explores — as a standalone module a
  * DesignSpace can be built on. This is the bridge between the paper's
  * Section VII-B multi-level flow and the band-incremental DSE machinery;
- * bench_estimator --dnn and the DNN fast-path tests both drive it.
+ * bench_estimator --dnn and the DNN plan-first tests both drive it.
  */
 
 #ifndef SCALEHLS_MODEL_DNN_DSE_H

@@ -3,7 +3,7 @@
  * scalehls-smith's seeded kernel generator: random affine kernels and
  * dataflow-graph modules in the style of mlir-dace-smith — nested bands
  * with varied depths/bounds, local buffers covering every
- * buffer-ownership class the fast-path analysis distinguishes
+ * buffer-ownership class the ownership analysis distinguishes
  * (BandLocal / DataflowEdge / MultiConsumer / SharedChain / Dead /
  * Escaping), calls, mixed-precision ops, and directive-bearing as well
  * as pristine variants. Generation is a pure function of

@@ -100,7 +100,7 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
 
     // The uncached sequential reference: no pool, no estimate cache, so
     // every point runs the full materialize-and-estimate pipeline. This
-    // is the ground truth the production cascade must reproduce
+    // is the ground truth the production evaluator must reproduce
     // bit-for-bit.
     std::vector<QoRResult> baseline;
     {
@@ -111,8 +111,8 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         result.evaluations += points.size();
     }
 
-    // The production cascade (plan-first -> schedule-composed -> full
-    // pipeline) at 1 and N threads, each against a FRESH estimate cache
+    // The production evaluator (plan-first, else the full pipeline) at
+    // 1 and N threads, each against a FRESH estimate cache
     // (cross-run reuse would mask per-path bugs behind warm tiers).
     EvaluatorOptions options;
     options.audit = config.audit;
@@ -168,13 +168,13 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         // in-batch dedup.
         const DSEStats &stats = evaluator.stats();
         size_t mat = stats.materializations;
-        size_t classes = stats.fullMaterializations + stats.fastPathHits +
+        size_t classes = stats.fullMaterializations + stats.planComposed +
                          stats.overlayMaterializations +
                          stats.planInfeasible;
         if (mat != classes)
             diverge("counters@" + run.label,
                     "materializations (" + std::to_string(mat) +
-                        ") != full+fastpath+overlay+planInfeasible (" +
+                        ") != full+planComposed+overlay+planInfeasible (" +
                         std::to_string(classes) + ")");
         size_t accounted = mat + stats.cacheHits + stats.batchDedups;
         if (accounted != points.size())

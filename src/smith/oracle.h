@@ -2,11 +2,11 @@
  * @file
  * scalehls-smith's differential oracle: every generated sample's design
  * points are evaluated by the uncached sequential reference and by the
- * production evaluation cascade (plan-first -> schedule-composed -> full
- * pipeline) at one and N threads, and the oracle fails on ANY
- * divergence: a QoR that differs from the reference in any field, an
- * evaluator counter combination that breaks the fast-path accounting
- * invariants, or an L3/L4 audit finding. A failing sample is dumped as
+ * production evaluator (plan-first composition, else the full pipeline)
+ * at one and N threads, and the oracle fails on ANY divergence: a QoR
+ * that differs from the reference in any field, an evaluator counter
+ * combination that breaks the materialization accounting invariants, or
+ * an L3/L4 audit finding. A failing sample is dumped as
  * a JSON reproducer that `scalehls-smith --replay <file>` re-executes
  * exactly (generation is a pure function of config + seed).
  */

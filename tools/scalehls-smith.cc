@@ -3,8 +3,8 @@
  * scalehls-smith: seeded random-kernel generator + differential
  * oracle. Every sample is generated from a pure (config, seed) pair,
  * L1/L2-verified at birth, and its design points are evaluated by the
- * uncached reference and by the production evaluation cascade at 1 and
- * N threads; ANY QoR, counter-invariant or L3/L4 audit divergence fails
+ * uncached reference and by the production evaluator at 1 and N
+ * threads; ANY QoR, counter-invariant or L3/L4 audit divergence fails
  * the run and dumps a JSON reproducer that `--replay` re-executes
  * exactly.
  *
