@@ -178,8 +178,12 @@ computePartitionPlan(Value *memref, const std::vector<MemAccess> &accesses)
             }
             AffineExpr e = access->indices[d];
             bool seen = false;
-            for (const auto &s : dim_exprs)
-                seen |= s.equals(e);
+            for (const auto &s : dim_exprs) {
+                if (s.equals(e)) {
+                    seen = true;
+                    break;
+                }
+            }
             if (!seen)
                 dim_exprs.push_back(e);
         }

@@ -91,6 +91,26 @@ computeLinearForm(AffineExprNode &n)
     }
 }
 
+/** Fold @p v into the running hash @p h (splitmix64 finalizer). */
+uint64_t
+hashMix(uint64_t h, uint64_t v)
+{
+    uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+uint32_t
+structuralHash(const AffineExprNode &n)
+{
+    uint64_t h = hashMix(static_cast<uint64_t>(n.kind),
+                         static_cast<uint64_t>(n.value));
+    if (n.lhs)
+        h = hashMix(hashMix(h, n.lhs->hash), n.rhs->hash);
+    return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
 AffineExpr
 makeNode(AffineExprKind kind, int64_t value, AffineExpr lhs, AffineExpr rhs)
 {
@@ -100,6 +120,7 @@ makeNode(AffineExprKind kind, int64_t value, AffineExpr lhs, AffineExpr rhs)
     node->lhs = std::move(lhs);
     node->rhs = std::move(rhs);
     computeLinearForm(*node);
+    node->hash = structuralHash(*node);
     return AffineExpr(std::move(node));
 }
 
@@ -152,7 +173,7 @@ AffineExpr::equals(const AffineExpr &other) const
         return true;
     if (!node_ || !other.node_)
         return false;
-    if (kind() != other.kind())
+    if (node_->hash != other.node_->hash || kind() != other.kind())
         return false;
     switch (kind()) {
       case AffineExprKind::Constant:
@@ -328,12 +349,14 @@ AffineExpr::toString() const
 std::optional<int64_t>
 constantDiff(const AffineExpr &a, const AffineExpr &b)
 {
-    std::vector<std::pair<unsigned, int64_t>> ca, cb;
-    int64_t const_a = 0, const_b = 0;
-    if (a.linearForm(ca, const_a) && b.linearForm(cb, const_b)) {
-        if (ca != cb)
+    // Compare the memoized linear forms in place: this runs pairwise over
+    // subscripts, so it must not copy the coefficient vectors.
+    const AffineExprNode &na = a.node();
+    const AffineExprNode &nb = b.node();
+    if (na.linValid && nb.linValid) {
+        if (na.linCoeffs != nb.linCoeffs)
             return std::nullopt;
-        return const_a - const_b;
+        return na.linConst - nb.linConst;
     }
     if (a.equals(b))
         return 0;

@@ -66,7 +66,8 @@ class AffineExpr
     /** True if this is the constant @p v. */
     bool isConstantEqual(int64_t v) const;
 
-    /** Structural equality. */
+    /** Structural equality. Rejects on a structural-hash mismatch before
+     * recursing, so unequal expressions almost always compare in O(1). */
     bool equals(const AffineExpr &other) const;
 
     /** Evaluate with concrete dim/symbol values. */
@@ -109,16 +110,20 @@ class AffineExpr
 };
 
 /** Immutable affine expression tree node. Use the factory functions below.
- * The linear form (coefficient per dim + constant) is computed eagerly at
- * construction from the children's already-computed forms; the analyses
- * compare subscripts pairwise, so this cache turns O(n^2) tree walks into
- * O(n). Eager computation (rather than a lazy mutable memo) keeps nodes
- * truly immutable: expression handles are shared across concurrently
- * evaluated module clones by the parallel DSE. */
+ * The linear form (coefficient per dim + constant) and the structural hash
+ * are computed eagerly at construction from the children's already-computed
+ * values; the analyses compare subscripts pairwise, so these caches turn
+ * O(n^2) tree walks into O(n). Eager computation (rather than a lazy mutable
+ * memo) keeps nodes truly immutable: expression handles are shared across
+ * concurrently evaluated module clones by the parallel DSE. */
 class AffineExprNode
 {
   public:
     AffineExprKind kind;
+    /** Structural hash over kind, value and children: equal for
+     * structurally equal expressions. 32 bits fill the padding after
+     * kind, so the node is no larger than without it. */
+    uint32_t hash = 0;
     int64_t value = 0;    ///< Constant value or dim/symbol position.
     AffineExpr lhs, rhs;  ///< Children for binary kinds.
 

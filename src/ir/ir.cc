@@ -204,10 +204,7 @@ Operation *
 Operation::nextOp() const
 {
     assert(parent_);
-    auto it = std::find_if(parent_->ops_.begin(), parent_->ops_.end(),
-                           [&](auto &p) { return p.get() == this; });
-    assert(it != parent_->ops_.end());
-    ++it;
+    auto it = std::next(pos_);
     return it == parent_->ops_.end() ? nullptr : it->get();
 }
 
@@ -215,13 +212,7 @@ Operation *
 Operation::prevOp() const
 {
     assert(parent_);
-    auto it = std::find_if(parent_->ops_.begin(), parent_->ops_.end(),
-                           [&](auto &p) { return p.get() == this; });
-    assert(it != parent_->ops_.end());
-    if (it == parent_->ops_.begin())
-        return nullptr;
-    --it;
-    return it->get();
+    return pos_ == parent_->ops_.begin() ? nullptr : std::prev(pos_)->get();
 }
 
 bool
@@ -236,6 +227,12 @@ Operation::isBeforeInBlock(const Operation *other) const
             return false;
     }
     return false;
+}
+
+bool
+Operation::positionValid() const
+{
+    return !parent_ || pos_->get() == this;
 }
 
 void
@@ -535,19 +532,24 @@ Block::opsVector() const
 }
 
 Operation *
+Block::link(OpList::iterator it, std::unique_ptr<Operation> op)
+{
+    Operation *raw = op.get();
+    raw->parent_ = this;
+    raw->pos_ = ops_.insert(it, std::move(op));
+    return raw;
+}
+
+Operation *
 Block::pushBack(std::unique_ptr<Operation> op)
 {
-    op->parent_ = this;
-    ops_.push_back(std::move(op));
-    return ops_.back().get();
+    return link(ops_.end(), std::move(op));
 }
 
 Operation *
 Block::pushFront(std::unique_ptr<Operation> op)
 {
-    op->parent_ = this;
-    ops_.push_front(std::move(op));
-    return ops_.front().get();
+    return link(ops_.begin(), std::move(op));
 }
 
 Operation *
@@ -556,33 +558,22 @@ Block::insertBefore(Operation *anchor, std::unique_ptr<Operation> op)
     if (!anchor)
         return pushBack(std::move(op));
     assert(anchor->parent_ == this);
-    op->parent_ = this;
-    auto it = std::find_if(ops_.begin(), ops_.end(),
-                           [&](auto &p) { return p.get() == anchor; });
-    assert(it != ops_.end());
-    return ops_.insert(it, std::move(op))->get();
+    return link(anchor->pos_, std::move(op));
 }
 
 Operation *
 Block::insertAfter(Operation *anchor, std::unique_ptr<Operation> op)
 {
     assert(anchor && anchor->parent_ == this);
-    op->parent_ = this;
-    auto it = std::find_if(ops_.begin(), ops_.end(),
-                           [&](auto &p) { return p.get() == anchor; });
-    assert(it != ops_.end());
-    ++it;
-    return ops_.insert(it, std::move(op))->get();
+    return link(std::next(anchor->pos_), std::move(op));
 }
 
 std::unique_ptr<Operation>
 Block::take(Operation *op)
 {
-    auto it = std::find_if(ops_.begin(), ops_.end(),
-                           [&](auto &p) { return p.get() == op; });
-    assert(it != ops_.end() && "op not in this block");
-    auto owned = std::move(*it);
-    ops_.erase(it);
+    assert(op->parent_ == this && "op not in this block");
+    auto owned = std::move(*op->pos_);
+    ops_.erase(op->pos_);
     owned->parent_ = nullptr;
     return owned;
 }

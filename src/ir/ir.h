@@ -34,6 +34,9 @@ class Block;
 class Region;
 class ValueRemap;
 
+/** The owning op list of a Block. */
+using OpList = std::list<std::unique_ptr<Operation>>;
+
 /** An SSA value: either the result of an Operation or a Block argument. */
 class Value
 {
@@ -178,6 +181,9 @@ class Operation
     Operation *prevOp() const;
     /** True if this op appears before @p other in the same block. */
     bool isBeforeInBlock(const Operation *other) const;
+    /** True if this op sits at its recorded position in its parent block
+     * (the structural verifier's check; always true for detached ops). */
+    bool positionValid() const;
     /** Unlink from the current block and insert before/after @p anchor. */
     void moveBefore(Operation *anchor);
     void moveAfter(Operation *anchor);
@@ -239,6 +245,10 @@ class Operation
     AttrMap attrs_;
     std::vector<std::unique_ptr<Region>> regions_;
     Block *parent_ = nullptr;
+    /** This op's node in parent_->ops_; meaningful only while parent_ is
+     * set. Every block insertion records it, so unlinking, moving and
+     * neighbour queries are O(1) instead of a scan of the block. */
+    OpList::iterator pos_;
 };
 
 /** A straight-line sequence of operations with typed block arguments. */
@@ -266,11 +276,12 @@ class Block
     Operation *back() const { return ops_.back().get(); }
     /** Snapshot of the op list (safe to mutate the block afterwards). */
     std::vector<Operation *> opsVector() const;
-    const std::list<std::unique_ptr<Operation>> &ops() const { return ops_; }
+    const OpList &ops() const { return ops_; }
 
     Operation *pushBack(std::unique_ptr<Operation> op);
     Operation *pushFront(std::unique_ptr<Operation> op);
-    /** Insert before @p anchor (anchor==nullptr appends). */
+    /** Insert before @p anchor (anchor==nullptr appends). Insertion, take
+     * and erase are O(1): each op records its own list position. */
     Operation *insertBefore(Operation *anchor,
                             std::unique_ptr<Operation> op);
     Operation *insertAfter(Operation *anchor, std::unique_ptr<Operation> op);
@@ -287,8 +298,11 @@ class Block
     friend class Region;
     friend class Operation;
 
+    /** Link @p op into ops_ before @p it and record its position. */
+    Operation *link(OpList::iterator it, std::unique_ptr<Operation> op);
+
     std::vector<std::unique_ptr<Value>> args_;
-    std::list<std::unique_ptr<Operation>> ops_;
+    OpList ops_;
     Region *parent_ = nullptr;
 };
 

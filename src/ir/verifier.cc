@@ -1,6 +1,8 @@
 #include "ir/verifier.h"
 
+#include <cstdint>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "dialect/graph_ops.h"
@@ -18,6 +20,7 @@ verifyKindName(VerifyKind kind)
       case VerifyKind::DominanceViolation: return "DominanceViolation";
       case VerifyKind::RegionShape: return "RegionShape";
       case VerifyKind::TypeMismatch: return "TypeMismatch";
+      case VerifyKind::StaleOpPosition: return "StaleOpPosition";
       case VerifyKind::InvalidBoundMap: return "InvalidBoundMap";
       case VerifyKind::InvalidAccessMap: return "InvalidAccessMap";
       case VerifyKind::BadTerminator: return "BadTerminator";
@@ -84,14 +87,48 @@ class Verifier
         // Walk up from user to find the ancestor sharing def's block.
         for (Operation *u = user; u; u = u->parentOp()) {
             if (u->parentBlock() == def->parentBlock())
-                return def == u ? false : def->isBeforeInBlock(u);
+                return def != u && indexInBlock(def) < indexInBlock(u);
         }
         return false;
+    }
+
+    /** @p op's index in its parent block. Each block is numbered once per
+     * verifier run, so dominance stays linear in the block size. An op
+     * its parent block does not hold (reported as StaleOpPosition) sorts
+     * last. */
+    size_t
+    indexInBlock(Operation *op)
+    {
+        Block *block = op->parentBlock();
+        if (numbered_.insert(block).second) {
+            size_t i = 0;
+            for (auto &child : block->ops())
+                index_[child.get()] = i++;
+        }
+        auto it = index_.find(op);
+        return it == index_.end() ? SIZE_MAX : it->second;
+    }
+
+    /** L1: every op in @p op's regions names its block as parent and sits
+     * at its recorded position, so O(1) unlink and insert stay sound. */
+    void
+    verifyOpLinks(Operation *op)
+    {
+        if (!op->positionValid())
+            error(VerifyKind::StaleOpPosition, op,
+                  "recorded position does not point back at the op");
+        for (unsigned r = 0; r < op->numRegions(); ++r)
+            for (auto &block : op->region(r).blocks())
+                for (auto &child : block->ops())
+                    if (child->parentBlock() != block.get())
+                        error(VerifyKind::StaleOpPosition, child.get(),
+                              "parent block is not the block holding it");
     }
 
     void
     verifyOperation(Operation *op)
     {
+        verifyOpLinks(op);
         for (unsigned i = 0; i < op->numOperands(); ++i) {
             Value *v = op->operand(i);
             if (!v) {
@@ -380,6 +417,8 @@ class Verifier
 
   private:
     VerifyLevel level_;
+    std::unordered_set<const Block *> numbered_;
+    std::unordered_map<const Operation *, size_t> index_;
 };
 
 } // namespace

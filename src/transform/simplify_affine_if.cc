@@ -128,22 +128,22 @@ simplifyIf(Operation *op)
 
 } // namespace
 
+/** One pass reaches the fixpoint: an if's verdict depends only on the IV
+ * ranges of its operands (the enclosing loops' bounds), which no if
+ * rewrite changes. Post-order visits nested ifs before the parent whose
+ * rewrite may erase them, so every collected op is still alive when its
+ * turn comes. */
 bool
 applySimplifyAffineIf(Operation *scope)
 {
+    std::vector<Operation *> ifs;
+    scope->walkPostOrder([&](Operation *op) {
+        if (op->is(ops::AffineIf))
+            ifs.push_back(op);
+    });
     bool changed = false;
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        std::vector<Operation *> ifs = scope->collect(ops::AffineIf);
-        for (Operation *op : ifs) {
-            if (simplifyIf(op)) {
-                progress = true;
-                break; // IR changed; re-collect.
-            }
-        }
-        changed |= progress;
-    }
+    for (Operation *op : ifs)
+        changed |= simplifyIf(op);
     return changed;
 }
 

@@ -94,6 +94,86 @@ TEST(AffineExpr, EqualityStructural)
     EXPECT_TRUE(d.equals(getAffineDimExpr(1) - getAffineDimExpr(0)));
 }
 
+/** @p e has the structure of @p base: same hash, and equals() holds. */
+void
+expectSame(const AffineExpr &e, const AffineExpr &base)
+{
+    EXPECT_EQ(e->hash, base->hash) << e.toString();
+    EXPECT_TRUE(e.equals(base)) << e.toString();
+}
+
+/** @p e differs from @p base in structure; the hash is deterministic, so
+ * a differing hash is a fixed outcome, not a probability. */
+void
+expectDifferent(const AffineExpr &e, const AffineExpr &base)
+{
+    EXPECT_NE(e->hash, base->hash) << e.toString();
+    EXPECT_FALSE(e.equals(base)) << e.toString();
+}
+
+TEST(AffineExpr, StructuralHashFollowsEquality)
+{
+    AffineExpr d0 = getAffineDimExpr(0);
+    AffineExpr d1 = getAffineDimExpr(1);
+    AffineExpr one = getAffineConstantExpr(1);
+    AffineExpr three = getAffineConstantExpr(3);
+    AffineExpr base = d0 * 3 + 1;
+
+    // The same structure, reached through raw construction, folding,
+    // canonical operand order, dim substitution and dim shifting.
+    AffineExpr mul = getAffineBinaryExpr(AffineExprKind::Mul, d0, three);
+    expectSame(getAffineBinaryExpr(AffineExprKind::Add, mul, one), base);
+    expectSame((three * d0 + 4) + (-3), base);
+    expectSame(one + d0 * 3, base);
+    expectSame((d1 * 3 + 1).replaceDimsAndSymbols({d0, d0}), base);
+    expectSame(base.shiftDims(1).replaceDimsAndSymbols({d0, d0}), base);
+
+    expectDifferent(d1 * 3 + 1, base);
+    expectDifferent(d0 * 3 + 2, base);
+    expectDifferent(d0 * 2 + 1, base);
+    expectDifferent(getAffineSymbolExpr(0) * 3 + 1, base);
+    expectDifferent(affineMod(d0, 2), affineFloorDiv(d0, 2));
+    expectDifferent(affineFloorDiv(d0, 2), affineCeilDiv(d0, 2));
+    expectDifferent(d0 - d1, d1 - d0);
+}
+
+/** constantDiff(@p a, @p b) is @p diff. */
+void
+expectDiff(const AffineExpr &a, const AffineExpr &b,
+           std::optional<int64_t> diff)
+{
+    SCOPED_TRACE(a.toString() + " - " + b.toString());
+    EXPECT_EQ(constantDiff(a, b), diff);
+}
+
+TEST(AffineExpr, ConstantDiffPinned)
+{
+    AffineExpr d0 = getAffineDimExpr(0);
+    AffineExpr d1 = getAffineDimExpr(1);
+    AffineExpr s0 = getAffineSymbolExpr(0);
+
+    // Linear: equal dim coefficients give the constant difference.
+    expectDiff(d0 + 5, d0 + 2, 3);
+    expectDiff(d0 * 2 + d1, d1 + d0 * 2, 0);
+    expectDiff(getAffineConstantExpr(7), getAffineConstantExpr(3), 4);
+    expectDiff(d0 * 4 + d1 * 2 - 1, d1 * 2 + d0 * 4 + 6, -7);
+    expectDiff(d0 - d0 + 3, getAffineConstantExpr(1), 2);
+    expectDiff(d0 + 1, d1 + 1, std::nullopt);
+    expectDiff(d0 * 2, d0, std::nullopt);
+
+    // Non-linear: only structurally equal expressions are comparable.
+    expectDiff(affineMod(d0, 4), affineMod(d0, 4), 0);
+    expectDiff(affineMod(d0, 4), affineMod(d0, 8), std::nullopt);
+    expectDiff(affineFloorDiv(d0 + 1, 2), affineFloorDiv(d0 + 1, 2), 0);
+    expectDiff(s0 + 1, s0 + 1, 0);
+    expectDiff(s0 + 2, s0 + 1, std::nullopt);
+
+    // Mixed linear and non-linear.
+    expectDiff(d0 + affineMod(d1, 2), d0, std::nullopt);
+    expectDiff(d0 + 1, affineMod(d0, 3), std::nullopt);
+    expectDiff(affineCeilDiv(d0, 4) + 1, affineCeilDiv(d0, 4) + 1, 0);
+}
+
 TEST(AffineMap, IdentityAndConstant)
 {
     AffineMap id = AffineMap::identity(3);

@@ -230,6 +230,146 @@ TEST(IR, IsAncestorOf)
     EXPECT_FALSE(c->isAncestorOf(loop.op()));
 }
 
+/** A detached op with no operands or results, for list bookkeeping. */
+std::unique_ptr<Operation>
+plainOp(const std::string &name)
+{
+    return Operation::create(name, {}, {});
+}
+
+/** Op names of @p block, front to back, space-separated. */
+std::string
+opNames(const Block &block)
+{
+    std::string names;
+    for (auto &op : block.ops())
+        names += (names.empty() ? "" : " ") + op->name();
+    return names;
+}
+
+/** Every op of @p block names it as parent, sits at its recorded
+ * position, and links to its list neighbours. */
+void
+expectLinked(Block &block)
+{
+    Operation *prev = nullptr;
+    for (auto &owned : block.ops()) {
+        Operation *op = owned.get();
+        EXPECT_EQ(op->parentBlock(), &block);
+        EXPECT_TRUE(op->positionValid());
+        EXPECT_EQ(op->prevOp(), prev);
+        if (prev) {
+            EXPECT_EQ(prev->nextOp(), op);
+        }
+        prev = op;
+    }
+    if (prev) {
+        EXPECT_EQ(prev->nextOp(), nullptr);
+    }
+}
+
+TEST(IRPosition, InsertAtFrontMiddleAndEnd)
+{
+    Block block;
+    Operation *a = block.pushBack(plainOp("a"));
+    Operation *c = block.pushBack(plainOp("c"));
+    // Middle, front, end, middle, append, then push to the front.
+    block.insertBefore(c, plainOp("b"));
+    block.insertBefore(a, plainOp("front"));
+    block.insertAfter(c, plainOp("end"));
+    block.insertAfter(a, plainOp("a2"));
+    block.insertBefore(nullptr, plainOp("last"));
+    block.pushFront(plainOp("first"));
+    EXPECT_EQ(opNames(block), "first front a a2 b c end last");
+    expectLinked(block);
+}
+
+TEST(IRPosition, TakeReinsertElsewhereThenErase)
+{
+    Block from, to;
+    Operation *a = from.pushBack(plainOp("a"));
+    Operation *b = from.pushBack(plainOp("b"));
+    from.pushBack(plainOp("c"));
+    Operation *x = to.pushBack(plainOp("x"));
+
+    auto owned = from.take(b);
+    EXPECT_EQ(owned->parentBlock(), nullptr);
+    EXPECT_TRUE(owned->positionValid());
+    EXPECT_EQ(a->nextOp()->name(), "c");
+    EXPECT_EQ(to.insertBefore(x, std::move(owned)), b);
+    EXPECT_EQ(opNames(from), "a c");
+    EXPECT_EQ(opNames(to), "b x");
+    expectLinked(from);
+    expectLinked(to);
+
+    b->erase();
+    EXPECT_EQ(opNames(to), "x");
+    expectLinked(to);
+    x->erase();
+    EXPECT_TRUE(to.empty());
+}
+
+TEST(IRPosition, MoveAndNeighboursAtTheEnds)
+{
+    Block one, two;
+    Operation *a = one.pushBack(plainOp("a"));
+    Operation *b = one.pushBack(plainOp("b"));
+    Operation *c = one.pushBack(plainOp("c"));
+    Operation *y = two.pushBack(plainOp("y"));
+
+    EXPECT_EQ(a->prevOp(), nullptr);
+    EXPECT_EQ(c->nextOp(), nullptr);
+    EXPECT_EQ(b->prevOp(), a);
+    EXPECT_EQ(b->nextOp(), c);
+
+    a->moveAfter(c); // within the block, to the end
+    EXPECT_EQ(opNames(one), "b c a");
+    EXPECT_EQ(b->prevOp(), nullptr);
+    EXPECT_EQ(a->nextOp(), nullptr);
+    a->moveBefore(b); // back to the front
+    EXPECT_EQ(opNames(one), "a b c");
+    c->moveBefore(y); // across blocks
+    b->moveAfter(y);
+    EXPECT_EQ(opNames(one), "a");
+    EXPECT_EQ(opNames(two), "c y b");
+    EXPECT_EQ(a->prevOp(), nullptr);
+    EXPECT_EQ(a->nextOp(), nullptr);
+    expectLinked(one);
+    expectLinked(two);
+}
+
+TEST(IRPosition, LargeBlockKeepsInsertionOrder)
+{
+    constexpr size_t kOps = 10000;
+    Block block;
+    block.pushBack(plainOp("end"));
+    std::vector<Operation *> inserted;
+    for (size_t i = 0; i < kOps; ++i)
+        inserted.push_back(block.insertBefore(block.back(), plainOp("op")));
+    inserted.push_back(block.back());
+    EXPECT_EQ(block.opsVector(), inserted);
+    expectLinked(block);
+}
+
+TEST(IRPosition, VerifierAcceptsMovedOps)
+{
+    SimpleFunc f;
+    Block *body = funcBody(f.func);
+    OpBuilder b(body, body->back());
+    AffineForOp loop = createAffineFor(b, 0, 4);
+    Operation *c0 = createConstantIndex(b, 0);
+    Operation *c1 = createConstantIndex(b, 1);
+    OpBuilder inner(loop.body());
+    Operation *c2 = createConstantIndex(inner, 2);
+    c1->moveBefore(loop.op());
+    c0->moveBefore(c2);
+    c2->moveAfter(c1);
+    expectLinked(*body);
+    expectLinked(*loop.body());
+    auto errors = verifyErrors(f.module.get(), VerifyLevel::Structural);
+    EXPECT_TRUE(errors.empty());
+}
+
 TEST(Verifier, CatchesDominanceViolation)
 {
     SimpleFunc f;

@@ -147,6 +147,73 @@ TEST(SimplifyAffineIf, KeepsUnknown)
     EXPECT_EQ(func->collect(ops::AffineIf).size(), 1u);
 }
 
+TEST(SimplifyAffineIf, AlwaysFalseOuterDropsNestedIfs)
+{
+    // The inner ifs are simplified first (one inlined, one kept), then the
+    // outer if, which has no else, is erased together with them.
+    auto module = affineModule("void k(float A[8]) {\n"
+                               "  for (int i = 0; i < 8; i++)\n"
+                               "    if (i >= 8) {\n"
+                               "      if (i >= 4) A[i] = 1.0;\n"
+                               "      if (i >= 0) A[i] = 2.0;\n"
+                               "    }\n"
+                               "}");
+    Operation *func = getTopFunc(module.get());
+    EXPECT_TRUE(applySimplifyAffineIf(func));
+    EXPECT_TRUE(func->collect(ops::AffineIf).empty());
+    EXPECT_TRUE(func->collect(ops::AffineStore).empty());
+    EXPECT_TRUE(verifyOk(module.get()));
+    EXPECT_FALSE(applySimplifyAffineIf(func));
+}
+
+TEST(SimplifyAffineIf, AlwaysTrueOuterAndInnerBothInlined)
+{
+    auto module = affineModule("void k(float A[8]) {\n"
+                               "  for (int i = 0; i < 8; i++)\n"
+                               "    if (i >= 0) {\n"
+                               "      if (i < 8) A[i] = 1.0;\n"
+                               "    }\n"
+                               "}");
+    Operation *func = getTopFunc(module.get());
+    EXPECT_TRUE(applySimplifyAffineIf(func));
+    EXPECT_TRUE(func->collect(ops::AffineIf).empty());
+    auto stores = func->collect(ops::AffineStore);
+    ASSERT_EQ(stores.size(), 1u);
+    EXPECT_TRUE(isa(stores[0]->parentOp(), ops::AffineFor));
+    EXPECT_TRUE(verifyOk(module.get()));
+    EXPECT_FALSE(applySimplifyAffineIf(func));
+}
+
+TEST(SimplifyAffineIf, OnePassReachesTheFixpoint)
+{
+    // A kept outer if with a redundant constraint around an inlined inner
+    // if and an unknown one: one call does all of it, a second finds
+    // nothing.
+    auto module = affineModule("void k(float A[8]) {\n"
+                               "  for (int i = 0; i < 8; i++)\n"
+                               "    if (i >= 2) {\n"
+                               "      if (i < 8) A[i] = 1.0;\n"
+                               "      if (i >= 5) A[i] = 2.0;\n"
+                               "    }\n"
+                               "}");
+    Operation *func = getTopFunc(module.get());
+    ASSERT_EQ(func->collect(ops::AffineIf).size(), 3u);
+    // Add i < 100, as 97 - (i - 2) >= 0 over the same operands.
+    AffineIfOp outer(func->collect(ops::AffineIf)[0]);
+    IntegerSet cond = outer.condition();
+    ASSERT_EQ(cond.numConstraints(), 1u);
+    AffineExpr lower = cond.constraint(0);
+    AffineExpr upper = getAffineConstantExpr(97) - lower;
+    IntegerSet redundant(cond.numDims(), {lower, upper}, {false, false});
+    outer.setCondition(redundant);
+    EXPECT_TRUE(applySimplifyAffineIf(func));
+    EXPECT_EQ(outer.condition().numConstraints(), 1u);
+    EXPECT_EQ(func->collect(ops::AffineIf).size(), 2u);
+    EXPECT_EQ(func->collect(ops::AffineStore).size(), 2u);
+    EXPECT_TRUE(verifyOk(module.get()));
+    EXPECT_FALSE(applySimplifyAffineIf(func));
+}
+
 TEST(StoreForward, ForwardsStoredValue)
 {
     auto module = affineModule(
