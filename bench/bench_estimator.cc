@@ -26,6 +26,7 @@
  * matrix for the sanitizer CI jobs.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -84,17 +85,6 @@ buildDesigns(bool smoke)
     return designs;
 }
 
-bool
-identical(const QoRResult &a, const QoRResult &b)
-{
-    return a.latency == b.latency && a.interval == b.interval &&
-           a.feasible == b.feasible &&
-           a.resources.dsp == b.resources.dsp &&
-           a.resources.lut == b.resources.lut &&
-           a.resources.bram18k == b.resources.bram18k &&
-           a.resources.memoryBits == b.resources.memoryBits;
-}
-
 /** Per-design scaling + function-tier cache benchmark (PR 2 behavior). */
 bool
 runScalingSection(const std::vector<unsigned> &configs, bool smoke)
@@ -129,7 +119,7 @@ runScalingSection(const std::vector<unsigned> &configs, bool smoke)
                 QoREstimator estimator(design.module.get(), &pool,
                                        &cache);
                 QoRResult qor = estimator.estimateModule();
-                matches &= identical(qor, reference);
+                matches &= qor == reference;
             }
             double seconds =
                 std::chrono::duration<double>(
@@ -215,8 +205,7 @@ runBandCacheSection(const std::vector<unsigned> &configs)
             for (size_t i = 0; i < modules.size(); ++i) {
                 QoREstimator estimator(modules[i].get(), &pool, &cache,
                                        band_tier);
-                matches &= identical(estimator.estimateModule(),
-                                     reference[i]);
+                matches &= estimator.estimateModule() == reference[i];
             }
             if (band_tier)
                 band_tier_hits = cache.bandHits();
@@ -316,7 +305,7 @@ runMaterializationSection(const std::vector<unsigned> &configs,
         results.insert(results.end(), second.begin(), second.end());
         bool incr_identical = results.size() == reference.size();
         for (size_t i = 0; incr_identical && i < results.size(); ++i)
-            incr_identical = identical(results[i], reference[i]);
+            incr_identical = results[i] == reference[i];
         size_t full = evaluator.stats().fullMaterializations;
         size_t fast = evaluator.stats().planComposed;
 
@@ -414,8 +403,7 @@ runPartitionKeySection(const std::vector<unsigned> &configs, bool smoke)
             for (size_t i = 0; i < modules.size(); ++i) {
                 QoREstimator estimator(modules[i].get(), &pool, &cache,
                                        true, masked);
-                matches &= identical(estimator.estimateModule(),
-                                     reference[i]);
+                matches &= estimator.estimateModule() == reference[i];
             }
             if (masked) {
                 masked_hits = cache.bandHits();
@@ -525,7 +513,7 @@ runProbeSection(const std::vector<unsigned> &configs, bool smoke)
             first.insert(first.end(), second.begin(), second.end());
             bool matches = first.size() == reference.size();
             for (size_t i = 0; matches && i < first.size(); ++i)
-                matches = identical(first[i], reference[i]);
+                matches = first[i] == reference[i];
 
             const DSEStats &stats = evaluator.stats();
             size_t full = stats.fullMaterializations;
@@ -545,7 +533,7 @@ runProbeSection(const std::vector<unsigned> &configs, bool smoke)
             bool zero_clone =
                 Operation::createdCount() == created_before;
             for (size_t i = 0; matches && i < replayed.size(); ++i)
-                matches = identical(replayed[i], reference[i]);
+                matches = replayed[i] == reference[i];
 
             bool structural =
                 matches && mismatches == 0 && full == 0 &&
@@ -587,7 +575,8 @@ runProbeSection(const std::vector<unsigned> &configs, bool smoke)
  * bit-identical to the sequential uncached reference, and audited
  * throughput keeps at least half the unaudited rate (the documented
  * audit-mode overhead budget; generous slack because the timed runs are
- * short and CI runners are noisy). */
+ * short and CI runners are noisy — each side is timed as the best of
+ * several repetitions). */
 bool
 runAuditedSweep(const char *design, DesignSpace &space,
                 const std::vector<DesignSpace::Point> &border,
@@ -628,9 +617,9 @@ runAuditedSweep(const char *design, DesignSpace &space,
             first.insert(first.end(), second.begin(), second.end());
             bool matches = first.size() == reference.size();
             for (size_t i = 0; matches && i < first.size(); ++i)
-                matches = identical(first[i], reference[i]);
+                matches = first[i] == reference[i];
             for (size_t i = 0; matches && i < replayed.size(); ++i)
-                matches = identical(replayed[i], reference[i]);
+                matches = replayed[i] == reference[i];
             *out_identical = matches;
             DSEStats stats = evaluator.stats();
             stats += replay.stats();
@@ -639,15 +628,32 @@ runAuditedSweep(const char *design, DesignSpace &space,
             return seconds;
         };
 
-        size_t plain_checks = 0, plain_violations = 0;
-        bool plain_identical = false;
-        double plain_seconds = timed_run(false, &plain_checks,
-                                         &plain_violations,
-                                         &plain_identical);
-        size_t checks = 0, violations = 0;
-        bool audit_identical = false;
-        double audit_seconds =
-            timed_run(true, &checks, &violations, &audit_identical);
+        // Each side is timed as the best of kTimingReps alternating
+        // runs, so one scheduling hiccup on a ~1 ms sweep cannot fail
+        // the overhead bound; every run must be correct. Checks are
+        // reported from the first audited run, violations as the worst.
+        constexpr int kTimingReps = 5;
+        size_t plain_checks = 0, checks = 0, violations = 0;
+        bool plain_identical = true, audit_identical = true;
+        double plain_seconds = 0, audit_seconds = 0;
+        for (int rep = 0; rep < kTimingReps; ++rep) {
+            size_t rep_checks = 0, rep_violations = 0;
+            bool rep_identical = false;
+            double seconds = timed_run(false, &rep_checks,
+                                       &rep_violations, &rep_identical);
+            plain_seconds =
+                rep == 0 ? seconds : std::min(plain_seconds, seconds);
+            plain_checks += rep_checks;
+            plain_identical &= rep_identical;
+            seconds = timed_run(true, &rep_checks, &rep_violations,
+                                &rep_identical);
+            audit_seconds =
+                rep == 0 ? seconds : std::min(audit_seconds, seconds);
+            if (rep == 0)
+                checks = rep_checks;
+            violations = std::max(violations, rep_violations);
+            audit_identical &= rep_identical;
+        }
 
         double plain_rate = 2 * all.size() / plain_seconds;
         double audit_rate = 2 * all.size() / audit_seconds;
@@ -849,7 +855,7 @@ runDNNSection(const std::vector<unsigned> &configs, bool smoke)
                 auto rest = evaluator.evaluateBatch(interiors[k]);
                 results.insert(results.end(), rest.begin(), rest.end());
                 for (size_t i = 0; i < results.size(); ++i)
-                    matches &= identical(results[i], references[k][i]);
+                    matches &= results[i] == references[k][i];
                 full += evaluator.stats().fullMaterializations;
                 fast += evaluator.stats().planComposed;
             }
@@ -1008,7 +1014,7 @@ runPersistSection(bool smoke)
 
         bool matches = warm_qors.size() == cold_qors.size();
         for (size_t i = 0; matches && i < warm_qors.size(); ++i)
-            matches = identical(warm_qors[i], cold_qors[i]);
+            matches = warm_qors[i] == cold_qors[i];
 
         double cold_rate = cold_sweep.totalPoints / cold_seconds;
         double warm_rate = warm_sweep.totalPoints / warm_seconds;
@@ -1124,7 +1130,7 @@ runDNNFullSection(const std::vector<unsigned> &configs, bool smoke)
                 reference = *result;
             else
                 deterministic =
-                    identical(result->measured, reference->measured) &&
+                    result->measured == reference->measured &&
                     result->allocation.choice ==
                         reference->allocation.choice &&
                     result->uniform.bottleneck ==

@@ -49,10 +49,10 @@ unsignedDiagnostic(const std::string &name, const std::string &value)
 ExploreRequest &
 ExploreRequest::applyEnvDefaults()
 {
-    // $SCALEHLS_CACHE_DIR -> snapshot persistence ("" when unset), the
-    // hook DSEOptions historically applied via applyCacheEnvDefaults.
-    // Call this BEFORE applying explicit overrides (flags, JSON): it
-    // rewrites the defaults, not user choices made afterwards.
+    // $SCALEHLS_CACHE_DIR -> the owning tool's snapshot paths ("" when
+    // unset); the one place the process environment reaches them. Call
+    // this BEFORE applying explicit overrides (flags, JSON): it rewrites
+    // the defaults, not user choices made afterwards.
     dse.cacheLoadPath = defaultCacheSnapshotPath();
     dse.cacheSavePath = defaultCacheSnapshotPath();
     // $SCALEHLS_DSE_AUDIT -> L3/L4 auditors on every plan-first decision.
@@ -267,10 +267,11 @@ exploreFlagUsage()
            "  -dse-cache-cap=<n|f:b:s:p>  max entries per estimate-\n"
            "                    cache tier (LRU eviction; default 0 =\n"
            "                    unbounded)\n"
-           "  -cache-load=<path>  estimate-cache snapshot loaded before\n"
-           "                    DSE (corrupt files = cold start)\n"
-           "  -cache-save=<path>  snapshot saved after DSE; both paths\n"
-           "                    default to $SCALEHLS_CACHE_DIR/\n"
+           "  -cache-load=<path>  estimate-cache snapshot the tool loads\n"
+           "                    once at start (corrupt files = cold\n"
+           "                    start)\n"
+           "  -cache-save=<path>  snapshot the tool saves once at exit;\n"
+           "                    both default to $SCALEHLS_CACHE_DIR/\n"
            "                    estimate_cache.shlsnap when set\n"
            "  -dse-audit[=<0|1>]  audit every DSE plan-first decision\n"
            "                    (L3/L4); findings exit nonzero.\n"

@@ -55,12 +55,11 @@ struct ExploreRequest
     DesignSpaceOptions space;
     DSEOptions dse;
 
-    /** Re-apply the process-environment defaults: the snapshot paths
-     * from $SCALEHLS_CACHE_DIR (only onto fields still holding the
-     * construction-time default) and audit mode from
-     * $SCALEHLS_DSE_AUDIT. One call replaces the historical scatter of
-     * applyCacheEnvDefaults / dseAuditEnvDefault call sites. Returns
-     * *this for chaining. */
+    /** Apply the process-environment defaults: the owning tool's
+     * snapshot paths from $SCALEHLS_CACHE_DIR (the only place that
+     * variable is read) and audit mode from $SCALEHLS_DSE_AUDIT. Tools
+     * call it before decoding their flags. Returns *this for
+     * chaining. */
     ExploreRequest &applyEnvDefaults();
 
     /** Check the request and resolve the spec fields (budget, cache

@@ -1,8 +1,5 @@
 #include "api/scalehls.h"
 
-#include <limits>
-#include <set>
-
 #include "analysis/loop_analysis.h"
 #include "model/dnn_dse.h"
 #include "support/thread_pool.h"
@@ -13,36 +10,6 @@ namespace scalehls {
 namespace {
 
 constexpr size_t kNoIndex = static_cast<size_t>(-1);
-
-/** The kernel plus its transitive callee closure, cloned into a
- * standalone module with the kernel marked top: func.call callees stay
- * resolvable and the estimator scores them, but sibling kernels (and
- * their subtrees) are never copied. DesignSpace clones the sub-module
- * once more per materialized point, so shrinking it here shrinks every
- * per-point clone of the exploration. @p module is never mutated. */
-std::unique_ptr<Operation>
-buildReducedClone(Operation *module, Operation *kernel)
-{
-    std::set<Operation *> needed;
-    std::vector<Operation *> worklist = {kernel};
-    while (!worklist.empty()) {
-        Operation *func = worklist.back();
-        worklist.pop_back();
-        if (!needed.insert(func).second)
-            continue;
-        for (Operation *callee : collectDistinctCallees(func, module))
-            worklist.push_back(callee);
-    }
-    auto sub = createModule();
-    Block &sub_body = sub->region(0).front();
-    for (auto &op : module->region(0).front().ops()) {
-        if (!op->is(ops::Func) || !needed.count(op.get()))
-            continue;
-        Operation *copy = sub_body.pushBack(op->clone());
-        setTopFunc(copy, op.get() == kernel);
-    }
-    return sub;
-}
 
 /** Split the worker budget between function-level concurrency (outer)
  * and point-level concurrency within each exploration: rewrites
@@ -60,12 +27,26 @@ splitThreads(DSEOptions &options, size_t num_kernels)
     return outer;
 }
 
+/** @p options with one estimate cache spanning the whole call: the
+ * caller's injected sharedEstimates, else @p local. The per-point module
+ * clones share all non-target functions verbatim (and often the callee
+ * subtrees of the targets), so content-keyed estimates transfer across
+ * kernels and workers alike. */
+DSEOptions
+withSharedCache(DSEOptions options, EstimateCache &local)
+{
+    if (!options.sharedEstimates) {
+        options.applyCacheBounds(local);
+        options.sharedEstimates = &local;
+    }
+    return options;
+}
+
 /** One kernel's live exploration: the reduced clone, the design space
  * and engine built on it — kept alive so ANY frontier point can later be
  * re-materialized cheaply through the still-warm plan/schedule caches
  * (DSEEngine::materializeEvaluated) — plus the frontier itself, raw and
- * retained. This is the shared per-kernel stage of optimizeFunctions and
- * optimizeModel. */
+ * retained. */
 struct KernelExploration
 {
     std::unique_ptr<Operation> sub;
@@ -77,23 +58,46 @@ struct KernelExploration
     std::vector<FrontierPoint> retained;
 };
 
-KernelExploration
-exploreKernel(Operation *module, Operation *kernel,
-              const ResourceBudget &retain_budget,
-              const DesignSpaceOptions &space_options,
-              const DSEOptions &options)
+/** The per-kernel stage shared by optimizeFunctions and optimizeModel:
+ * explore every function of @p kernels concurrently, each on its own
+ * reduced clone of @p module (never mutated), with the worker budget
+ * split between kernels and points. Module retention is scoped to
+ * @p retain_budget. Results come back in @p kernels order. */
+std::vector<KernelExploration>
+exploreKernels(Operation *module, const std::vector<Operation *> &kernels,
+               const ResourceBudget &retain_budget,
+               const DesignSpaceOptions &space_options, DSEOptions options)
 {
-    KernelExploration exploration;
-    exploration.sub = buildReducedClone(module, kernel);
-    exploration.space = std::make_unique<DesignSpace>(
-        exploration.sub.get(), space_options);
-    exploration.engine =
-        std::make_unique<DSEEngine>(*exploration.space, options);
-    exploration.engine->setFinalizeBudget(retain_budget);
-    exploration.frontier = exploration.engine->explore();
-    exploration.retained =
-        retainFrontier(*exploration.space, exploration.frontier);
-    return exploration;
+    std::vector<KernelExploration> explorations(kernels.size());
+    ThreadPool pool(splitThreads(options, kernels.size()));
+    pool.parallelFor(kernels.size(), [&](size_t k) {
+        KernelExploration &e = explorations[k];
+        e.sub = buildReducedClone(module, kernels[k]);
+        e.space = std::make_unique<DesignSpace>(e.sub.get(), space_options);
+        e.engine = std::make_unique<DSEEngine>(*e.space, options);
+        e.engine->setFinalizeBudget(retain_budget);
+        e.frontier = e.engine->explore();
+        e.retained = retainFrontier(*e.space, e.frontier);
+    });
+    return explorations;
+}
+
+/** Replace @p original in @p module, in place, by the top function of
+ * @p optimized (a reduced clone's materialized winner), marked top iff
+ * @p top. False, leaving @p module untouched, when there is no winner. */
+bool
+spliceWinner(Operation *module, Operation *original,
+             std::unique_ptr<Operation> optimized, bool top)
+{
+    Operation *winner = optimized ? getTopFunc(optimized.get()) : nullptr;
+    if (!winner)
+        return false;
+    auto taken = optimized->region(0).front().take(winner);
+    setTopFunc(taken.get(), top);
+    Block &body = module->region(0).front();
+    body.insertBefore(original, std::move(taken));
+    body.erase(original);
+    return true;
 }
 
 } // namespace
@@ -244,14 +248,7 @@ Compiler::applyDirectiveOpt(int64_t target_ii)
 Compiler &
 Compiler::applySimplifications()
 {
-    timed([&] {
-        applyCanonicalize(module_.get());
-        applySimplifyAffineIf(module_.get());
-        applyAffineStoreForward(module_.get());
-        applySimplifyMemrefAccess(module_.get());
-        applyCSE(module_.get());
-        applyCanonicalize(module_.get());
-    });
+    timed([&] { applyRedundancyElimination(module_.get()); });
     return *this;
 }
 
@@ -270,9 +267,6 @@ Compiler::optimize(const ExploreRequest &request)
 std::vector<Compiler::FuncDSEResult>
 Compiler::optimizeFunctions(const ExploreRequest &request)
 {
-    const ResourceBudget &budget = request.budget;
-    const DesignSpaceOptions &space_options = request.space;
-    const DSEOptions &options = request.dse;
     // The kernels: every function with at least one loop band.
     std::vector<Operation *> kernels;
     for (auto &op : module_->region(0).front().ops())
@@ -283,46 +277,23 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
 
     // Split the device budget evenly across kernels; each kernel's DSE
     // finalizes against its share.
-    ResourceBudget share = budget;
+    ResourceBudget share = request.budget;
     auto n = static_cast<int64_t>(kernels.size());
     share.dsp /= n;
     share.lut /= n;
     share.memoryBits /= n;
 
-    // Function-level concurrency on top, point-level concurrency within
-    // each exploration: split the worker budget between the two levels.
-    DSEOptions inner_options = options;
-    unsigned outer = splitThreads(inner_options, kernels.size());
-
-    // One estimate cache spans every kernel's exploration: the per-point
-    // module clones share all non-target functions verbatim (and often
-    // the callee subtrees of the targets), so their content-keyed
-    // estimates transfer across kernels and workers alike.
-    EstimateCache shared_estimates;
-    inner_options.applyCacheBounds(shared_estimates);
-    // Snapshot persistence follows cache ownership: when this call
-    // creates the shared cache it loads/saves the snapshot ONCE here
-    // (the per-kernel engines see sharedEstimates set and skip); when
-    // the caller injected a cache, the caller persists it.
-    bool owns_cache = !inner_options.sharedEstimates;
-    if (owns_cache)
-        inner_options.sharedEstimates = &shared_estimates;
-    if (owns_cache && !inner_options.cacheLoadPath.empty())
-        loadEstimateCacheLogged(shared_estimates,
-                                inner_options.cacheLoadPath);
-
-    std::vector<FuncDSEResult> results(kernels.size());
-    std::vector<std::unique_ptr<Operation>> optimized(kernels.size());
     auto start = std::chrono::steady_clock::now();
+    EstimateCache local_estimates;
+    std::vector<KernelExploration> explorations = exploreKernels(
+        module_.get(), kernels, share, request.space,
+        withSharedCache(request.dse, local_estimates));
 
-    ThreadPool pool(outer);
-    pool.parallelFor(kernels.size(), [&](size_t i) {
-        // Each task explores a private reduced clone (the shared module_
-        // is never touched), retains the frontier, then finalizes
-        // against this kernel's even share of the budget.
-        KernelExploration exploration = exploreKernel(
-            module_.get(), kernels[i], share, space_options,
-            inner_options);
+    // Finalize and splice the winners back sequentially, in module
+    // function order, so the resulting module is deterministic.
+    std::vector<FuncDSEResult> results(kernels.size());
+    for (size_t i = 0; i < kernels.size(); ++i) {
+        KernelExploration &e = explorations[i];
         FuncDSEResult &out = results[i];
         out.func = funcName(kernels[i]);
         // A default QoRResult claims feasibility; failed kernels must
@@ -330,43 +301,25 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
         out.qor.feasible = false;
         out.qor.latency = kInfeasibleQoR;
         out.qor.interval = kInfeasibleQoR;
-        out.frontier = exploration.retained;
-        out.stats = exploration.engine->stats();
-        auto chosen = DSEEngine::finalize(exploration.frontier, share);
+        out.frontier = e.retained;
+        out.stats = e.engine->stats();
+        auto chosen = DSEEngine::finalize(e.frontier, share);
         if (!chosen)
-            return;
-        auto module = exploration.engine->materializeEvaluated(*chosen);
-        if (!module)
-            return;
-        out.point = chosen->point;
+            continue;
+        auto module = e.engine->materializeEvaluated(*chosen);
         // On (release-build) re-estimation divergence, keep the QoR
         // consistent with the module actually spliced in.
-        out.qor = exploration.engine->qorVerified()
-                      ? chosen->qor
-                      : exploration.engine->verifiedQoR();
-        optimized[i] = std::move(module);
-    });
-
-    // Splice the winners back sequentially, in module function order, so
-    // the resulting module is deterministic.
-    Block &body = module_->region(0).front();
-    for (size_t i = 0; i < kernels.size(); ++i) {
-        if (!optimized[i])
+        QoRResult qor = e.engine->qorVerified() ? chosen->qor
+                                                : e.engine->verifiedQoR();
+        if (!spliceWinner(module_.get(), kernels[i], std::move(module),
+                          isTopFunc(kernels[i])))
             continue;
-        Operation *new_func = getTopFunc(optimized[i].get());
-        if (!new_func)
-            continue;
-        auto taken = optimized[i]->region(0).front().take(new_func);
-        setTopFunc(taken.get(), isTopFunc(kernels[i]));
-        body.insertBefore(kernels[i], std::move(taken));
-        body.erase(kernels[i]);
+        out.point = chosen->point;
+        out.qor = qor;
     }
     opt_seconds_ += std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
                         .count();
-    if (owns_cache && !inner_options.cacheSavePath.empty())
-        saveEstimateCacheLogged(shared_estimates,
-                                inner_options.cacheSavePath);
     return results;
 }
 
@@ -391,16 +344,8 @@ Compiler::optimizeModel(const ExploreRequest &request)
     // exploration and the final re-measurement, so the closing
     // estimateModule resolves mostly from content-keyed entries the
     // exploration already paid for.
-    EstimateCache shared_estimates;
-    options.applyCacheBounds(shared_estimates);
-    DSEOptions inner = options;
-    // Same ownership rule as optimizeFunctions: load/save the snapshot
-    // only for the cache this call created.
-    bool owns_cache = !inner.sharedEstimates;
-    if (owns_cache)
-        inner.sharedEstimates = &shared_estimates;
-    if (owns_cache && !inner.cacheLoadPath.empty())
-        loadEstimateCacheLogged(shared_estimates, inner.cacheLoadPath);
+    EstimateCache local_estimates;
+    DSEOptions inner = withSharedCache(options, local_estimates);
     EstimateCache *shared = inner.sharedEstimates;
 
     unsigned total_threads = options.numThreads == 0
@@ -453,17 +398,8 @@ Compiler::optimizeModel(const ExploreRequest &request)
         kernel_funcs.push_back(stages[i].callee);
         stage_of_kernel.push_back(i);
     }
-    std::vector<KernelExploration> explorations(kernel_funcs.size());
-    if (!kernel_funcs.empty()) {
-        DSEOptions per_kernel = inner;
-        unsigned outer = splitThreads(per_kernel, kernel_funcs.size());
-        ThreadPool pool(outer);
-        pool.parallelFor(kernel_funcs.size(), [&](size_t k) {
-            explorations[k] = exploreKernel(module_.get(),
-                                            kernel_funcs[k], budget,
-                                            space_options, per_kernel);
-        });
-    }
+    std::vector<KernelExploration> explorations = exploreKernels(
+        module_.get(), kernel_funcs, budget, space_options, inner);
 
     // Stage frontiers as seen from the top: candidate latencies carry
     // the +1 call overhead; fixed (non-kernel) stages get exactly their
@@ -524,11 +460,6 @@ Compiler::optimizeModel(const ExploreRequest &request)
                           std::chrono::steady_clock::now() - start)
                           .count();
         opt_seconds_ += out.seconds;
-        // Even an infeasible composition explored the kernels; the warm
-        // entries are worth persisting for the next attempt.
-        if (owns_cache && !inner.cacheSavePath.empty())
-            saveEstimateCacheLogged(shared_estimates,
-                                    inner.cacheSavePath);
         return out;
     }
 
@@ -539,31 +470,18 @@ Compiler::optimizeModel(const ExploreRequest &request)
     // each kernel stage function in place (deterministic module order:
     // stage_of_kernel is ascending).
     bool stage_qor_ok = true;
-    Block &body = module_->region(0).front();
     for (size_t k = 0; k < kernel_funcs.size(); ++k) {
         size_t i = stage_of_kernel[k];
         if (kernel_of_stage[i] == kNoIndex)
             continue; // Demoted to its baseline design above.
         KernelExploration &e = explorations[k];
-        size_t chosen = out.allocation.choice[i];
         auto optimized = e.engine->materializeEvaluated(
-            e.frontier[chosen]);
+            e.frontier[out.allocation.choice[i]]);
         stage_qor_ok &= e.engine->qorVerified();
-        if (!optimized) {
-            stage_qor_ok = false;
-            continue;
-        }
-        Operation *new_func = getTopFunc(optimized.get());
-        if (!new_func) {
-            stage_qor_ok = false;
-            continue;
-        }
-        auto taken = optimized->region(0).front().take(new_func);
         // Stage functions are never the module top (the dataflow top
-        // is); clear the sub-module's top marker before splicing.
-        setTopFunc(taken.get(), false);
-        body.insertBefore(stages[i].callee, std::move(taken));
-        body.erase(stages[i].callee);
+        // is).
+        stage_qor_ok &= spliceWinner(module_.get(), stages[i].callee,
+                                     std::move(optimized), false);
     }
 
     // Re-verify the composed module: the IR verifier at the -verify-each
@@ -575,23 +493,12 @@ Compiler::optimizeModel(const ExploreRequest &request)
                          options.bandLevelCache,
                          options.partitionAwareBandKeys);
     out.measured = measure.estimateModule();
-    out.composedVerified =
-        out.measured.latency == out.composed.latency &&
-        out.measured.interval == out.composed.interval &&
-        out.measured.feasible == out.composed.feasible &&
-        out.measured.resources.dsp == out.composed.resources.dsp &&
-        out.measured.resources.lut == out.composed.resources.lut &&
-        out.measured.resources.bram18k ==
-            out.composed.resources.bram18k &&
-        out.measured.resources.memoryBits ==
-            out.composed.resources.memoryBits;
+    out.composedVerified = out.measured == out.composed;
     out.verified = errors.empty() && stage_qor_ok;
     out.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
     opt_seconds_ += out.seconds;
-    if (owns_cache && !inner.cacheSavePath.empty())
-        saveEstimateCacheLogged(shared_estimates, inner.cacheSavePath);
     return out;
 }
 

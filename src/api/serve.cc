@@ -96,10 +96,10 @@ frontierJson(const std::vector<FrontierPoint> &frontier)
 
 /** Per-request exploration setup over the shared decode/validate path
  * (api/explore_request.h). The session cache is injected as
- * sharedEstimates, so no engine ever touches snapshot persistence (the
- * session owns it) and every request — at any front-end concurrency —
- * feeds the same content-keyed tiers. @p default_model is "" for
- * requests that do not select a zoo model (polybench). */
+ * sharedEstimates, so every request — at any front-end concurrency —
+ * feeds the same content-keyed tiers; the session alone persists it.
+ * @p default_model is "" for requests that do not select a zoo model
+ * (polybench). */
 ExploreRequest
 exploreRequestFrom(const JsonValue &req, EstimateCache *cache,
                    unsigned default_threads, const char *default_model)
@@ -107,8 +107,6 @@ exploreRequestFrom(const JsonValue &req, EstimateCache *cache,
     ExploreRequest request;
     request.budgetSpec = "vu9p-slr"; // The serve default device.
     request.model = default_model;
-    request.dse.cacheLoadPath.clear();
-    request.dse.cacheSavePath.clear();
     request.dse.sharedEstimates = cache;
     request.dse.numThreads = default_threads;
     std::string error = exploreRequestFromJson(request, req);
@@ -148,7 +146,6 @@ ServeSession::saveSnapshot(const std::string &path)
     std::string target = path.empty() ? options_.cacheSavePath : path;
     if (target.empty())
         return false;
-    std::lock_guard<std::mutex> lock(save_mutex_);
     return saveEstimateCacheLogged(cache_, target);
 }
 

@@ -34,7 +34,6 @@
 #define SCALEHLS_API_SERVE_H
 
 #include <atomic>
-#include <mutex>
 #include <string>
 
 #include "api/scalehls.h"
@@ -48,10 +47,11 @@ struct JsonValue;
 struct ServeOptions
 {
     /** Snapshot persistence: load on construction, save on shutdown
-     * (and on explicit "save" requests). Default to the
-     * $SCALEHLS_CACHE_DIR hook; "" disables. */
-    std::string cacheLoadPath = defaultCacheSnapshotPath();
-    std::string cacheSavePath = defaultCacheSnapshotPath();
+     * (and on explicit "save" requests); "" (the default) disables.
+     * scalehls-serve fills both from its flags or, when unset, from
+     * $SCALEHLS_CACHE_DIR via ExploreRequest::applyEnvDefaults(). */
+    std::string cacheLoadPath;
+    std::string cacheSavePath;
     /** Per-tier cache bounds (see DSEOptions::estimateCacheTierCaps). */
     EstimateCacheTierCaps tierCaps;
     /** Additionally save the snapshot every N completed requests
@@ -89,7 +89,9 @@ class ServeSession
     }
 
     /** Save the snapshot now (to @p path, or the configured save path
-     * when empty). False when no path is configured or IO failed. */
+     * when empty). False when no path is configured or IO failed. Safe
+     * to call concurrently: every save writes its own temp file and the
+     * last rename wins. */
     bool saveSnapshot(const std::string &path = std::string());
 
     EstimateCache &cache() { return cache_; }
@@ -109,10 +111,6 @@ class ServeSession
     CacheLoadResult load_result_;
     std::atomic<bool> quit_{false};
     std::atomic<size_t> completed_{0};
-    /** Serializes snapshot writes (saves iterate the cache under shard
-     * locks, so they are safe against concurrent inserts; the mutex
-     * only keeps two saves from racing on the temp file). */
-    std::mutex save_mutex_;
 };
 
 } // namespace scalehls

@@ -198,12 +198,7 @@ DesignSpace::materialize(const Point &point) const
         if (!applyBandSchedule(band_roots[b].front(), d, b))
             return nullptr;
 
-    applyCanonicalize(func);
-    applySimplifyAffineIf(func);
-    applyAffineStoreForward(func);
-    applySimplifyMemrefAccess(func);
-    applyCSE(func);
-    applyCanonicalize(func);
+    applyRedundancyElimination(func);
     applyArrayPartition(func);
     return module;
 }

@@ -25,14 +25,6 @@ DSEEngine::explore()
         local_estimates_ = std::make_unique<EstimateCache>();
         options_.applyCacheBounds(*local_estimates_);
         estimates = local_estimates_.get();
-        // Cross-process warm start: the owner of the cache loads/saves
-        // the snapshot. The engine owns only its per-exploration cache;
-        // an injected sharedEstimates cache is persisted by whoever
-        // created it (Compiler / tools), never here — loading it once
-        // per engine would double-count and saving it concurrently
-        // would race.
-        if (!options_.cacheLoadPath.empty())
-            loadEstimateCacheLogged(*estimates, options_.cacheLoadPath);
     }
     estimates_in_use_ = estimates;
 
@@ -77,12 +69,6 @@ DSEEngine::explore()
                      [](const EvaluatedPoint &a, const EvaluatedPoint &b) {
                          return a.qor.latency < b.qor.latency;
                      });
-
-    // Save-on-exit for the engine-owned cache (the exploration is where
-    // the entries are born; materializeEvaluated afterwards adds little
-    // and the snapshot stays valid either way — entries only accrete).
-    if (local_estimates_ && !options_.cacheSavePath.empty())
-        saveEstimateCacheLogged(*estimates, options_.cacheSavePath);
     return result;
 }
 
@@ -148,15 +134,7 @@ DSEEngine::materializeEvaluated(const EvaluatedPoint &chosen)
         check.latency = kInfeasibleQoR;
         check.interval = kInfeasibleQoR;
     }
-    qor_verified_ = check.latency == chosen.qor.latency &&
-                    check.interval == chosen.qor.interval &&
-                    check.feasible == chosen.qor.feasible &&
-                    check.resources.dsp == chosen.qor.resources.dsp &&
-                    check.resources.lut == chosen.qor.resources.lut &&
-                    check.resources.bram18k ==
-                        chosen.qor.resources.bram18k &&
-                    check.resources.memoryBits ==
-                        chosen.qor.resources.memoryBits;
+    qor_verified_ = check == chosen.qor;
     // On divergence the re-estimated QoR is the one consistent with the
     // module being returned; callers (runDSE) adopt it over the cached
     // value so result.module and result.qor can never disagree.

@@ -20,7 +20,6 @@
 
 #include "dse/dse_stats.h"
 #include "dse/search_strategy.h"
-#include "estimate/cache_io.h"
 
 namespace scalehls {
 
@@ -68,18 +67,16 @@ struct DSEOptions
      * `-dse-cache-cap=f:b:s:p` sizes them separately — schedule/plan
      * entries are far heavier than function QoRs. */
     EstimateCacheTierCaps estimateCacheTierCaps;
-    /** Snapshot persistence (estimate/cache_io): load the estimate cache
-     * from cacheLoadPath before exploring and save it to cacheSavePath
-     * afterwards — cross-process warm starts. Performed by whoever OWNS
-     * the cache the exploration uses: the engine for its per-exploration
-     * cache, Compiler::optimizeFunctions/optimizeModel for their shared
-     * per-call cache, and the tools for caches they inject via
-     * sharedEstimates (external caches are never loaded/saved here).
-     * Both default to $SCALEHLS_CACHE_DIR/estimate_cache.shlsnap when
-     * that variable is set ("" otherwise = no persistence). Rejected or
-     * corrupt snapshots degrade to a cold start with a warning. */
-    std::string cacheLoadPath = defaultCacheSnapshotPath();
-    std::string cacheSavePath = defaultCacheSnapshotPath();
+    /** The owning tool's snapshot paths (estimate/cache_io): a tool that
+     * owns a cache for its whole lifetime (scalehls-opt,
+     * scalehls-translate) loads it from cacheLoadPath before exploring,
+     * injects it as sharedEstimates, and saves it to cacheSavePath
+     * afterwards. The library never reads these fields — no DSEEngine,
+     * runDSE or Compiler call does file I/O. Both default to "" (no
+     * persistence); ExploreRequest::applyEnvDefaults() points them at
+     * $SCALEHLS_CACHE_DIR/estimate_cache.shlsnap when that is set. */
+    std::string cacheLoadPath;
+    std::string cacheSavePath;
     /** External estimate cache spanning multiple explorations (e.g. all
      * kernels of optimizeFunctions), NOT owned; nullptr = the engine
      * creates a per-exploration cache. */

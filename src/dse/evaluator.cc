@@ -122,16 +122,7 @@ CachingEvaluator::takeRetainedModule(const DesignSpace::Point &point)
 QoRResult
 CachingEvaluator::evaluate(const DesignSpace::Point &point)
 {
-    if (auto cached = cache_.lookup(point)) {
-        ++stats_.cacheHits;
-        return *cached;
-    }
-    std::unique_ptr<Operation> module;
-    QoRResult result = evaluateFresh(
-        point, stats_, retention_enabled_ ? &module : nullptr);
-    maybeRetain(point, result, std::move(module));
-    cache_.insert(point, result);
-    return result;
+    return evaluateBatch({point}).front();
 }
 
 std::vector<QoRResult>

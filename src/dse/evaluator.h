@@ -1,10 +1,9 @@
 /**
  * @file
- * The QoR evaluation layer of the DSE stack: an Evaluator interface with
- * single-point and batched entry points, plus the default caching
- * implementation that materializes each point on its own clone of the
- * pristine module (so evaluations of distinct points are independent) and
- * fans a batch out over a ThreadPool.
+ * The QoR evaluation layer of the DSE stack: CachingEvaluator, with
+ * single-point and batched entry points, materializes each point on its
+ * own clone of the pristine module (so evaluations of distinct points
+ * are independent) and fans a batch out over a ThreadPool.
  *
  * Results are returned BY VALUE: the memo cache is sharded and grows
  * concurrently, so a `const QoRResult&` into it could not survive a
@@ -34,21 +33,6 @@ struct EvaluatedPoint
     QoRResult qor;
 };
 
-/** QoR evaluation of design points. Implementations must be safe to call
- * from one thread while evaluateBatch internally uses many. */
-class Evaluator
-{
-  public:
-    virtual ~Evaluator() = default;
-
-    /** Evaluate one point. */
-    virtual QoRResult evaluate(const DesignSpace::Point &point) = 0;
-
-    /** Evaluate a batch; result[i] corresponds to points[i]. */
-    virtual std::vector<QoRResult>
-    evaluateBatch(const std::vector<DesignSpace::Point> &points) = 0;
-};
-
 /** Tuning knobs of the default evaluator. */
 struct EvaluatorOptions
 {
@@ -71,7 +55,7 @@ struct EvaluatorOptions
     static bool dseAuditEnvDefault();
 };
 
-/** The default evaluator: materialize + estimate behind a sharded memo
+/** The evaluator: materialize + estimate behind a sharded memo
  * cache, batches spread over @p pool (nullptr or a 1-wide pool runs
  * inline). The cache is keyed on the full point vector, so re-probing an
  * already-evaluated point is a lookup, not a re-materialization. A miss
@@ -93,7 +77,7 @@ struct EvaluatorOptions
  * worker (and potentially across evaluators). The pool is also handed to
  * each QoREstimator so multi-function points estimate their callees
  * concurrently (intra-point parallelism). */
-class CachingEvaluator : public Evaluator
+class CachingEvaluator
 {
   public:
     explicit CachingEvaluator(const DesignSpace &space,
@@ -112,9 +96,12 @@ class CachingEvaluator : public Evaluator
         }
     }
 
-    QoRResult evaluate(const DesignSpace::Point &point) override;
+    /** Evaluate one point: evaluateBatch of a one-point batch. */
+    QoRResult evaluate(const DesignSpace::Point &point);
+    /** Evaluate a batch; result[i] corresponds to points[i]. Call from
+     * one thread at a time (the batch itself fans out over the pool). */
     std::vector<QoRResult>
-    evaluateBatch(const std::vector<DesignSpace::Point> &points) override;
+    evaluateBatch(const std::vector<DesignSpace::Point> &points);
 
     /** Keep the module of the best slow-path evaluation seen so far
      * (lowest-latency feasible point, optionally restricted to designs

@@ -37,7 +37,7 @@ enum class DSEStrategy
 class SearchContext
 {
   public:
-    SearchContext(const DesignSpace &space, Evaluator &evaluator,
+    SearchContext(const DesignSpace &space, CachingEvaluator &evaluator,
                   std::vector<EvaluatedPoint> &evaluated,
                   unsigned batch_size)
         : space_(space), evaluator_(evaluator), evaluated_(evaluated),
@@ -78,7 +78,7 @@ class SearchContext
 
   private:
     const DesignSpace &space_;
-    Evaluator &evaluator_;
+    CachingEvaluator &evaluator_;
     std::vector<EvaluatedPoint> &evaluated_;
     std::set<DesignSpace::Point> seen_;
     std::vector<DesignSpace::Point> pending_;

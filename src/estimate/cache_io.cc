@@ -1,6 +1,9 @@
 #include "estimate/cache_io.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -567,7 +570,13 @@ saveEstimateCache(const EstimateCache &cache, const std::string &path,
                   std::string *error)
 {
     std::string bytes = encodeEstimateCache(cache);
-    std::string tmp = path + ".tmp";
+    // One temp file per writer (process id + per-process call number),
+    // next to the target so the rename stays within one filesystem: two
+    // concurrent savers to one path never write or rename each other's
+    // file.
+    static std::atomic<uint64_t> save_calls{0};
+    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                      std::to_string(save_calls.fetch_add(1));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {
@@ -580,6 +589,8 @@ saveEstimateCache(const EstimateCache &cache, const std::string &path,
         if (!out) {
             if (error)
                 *error = "short write to " + tmp;
+            out.close();
+            std::remove(tmp.c_str());
             return false;
         }
     }

@@ -95,9 +95,12 @@ std::string encodeEstimateCache(
 CacheLoadResult decodeEstimateCache(EstimateCache &cache,
                                     std::string_view bytes);
 
-/** encodeEstimateCache to @p path (written via a temp file + rename, so
- * a concurrent loader never observes a half-written snapshot). Returns
- * false with @p error set on IO failure. */
+/** encodeEstimateCache to @p path, written through a temp file unique to
+ * this call (in the target's directory) and renamed into place: a
+ * concurrent loader never observes a half-written snapshot, and
+ * concurrent savers to one path never clobber each other's temp file
+ * (the last rename wins). Returns false with @p error set on IO
+ * failure. */
 bool saveEstimateCache(const EstimateCache &cache, const std::string &path,
                        std::string *error = nullptr);
 
@@ -108,7 +111,7 @@ CacheLoadResult loadEstimateCache(EstimateCache &cache,
 
 /** loadEstimateCache, logging rejection/corruption warnings (and a
  * one-line load summary) to stderr — the convenience wrapper the tools
- * and the Compiler use. */
+ * and the serve session use. */
 CacheLoadResult loadEstimateCacheLogged(EstimateCache &cache,
                                         const std::string &path);
 
@@ -118,8 +121,9 @@ bool saveEstimateCacheLogged(const EstimateCache &cache,
 
 /** The default snapshot path under $SCALEHLS_CACHE_DIR
  * ("<dir>/estimate_cache.shlsnap"), or "" when the variable is unset or
- * empty — the load-on-start/save-on-exit hook every DSE entry point
- * resolves its unset cache paths against. */
+ * empty. Read only by ExploreRequest::applyEnvDefaults(): the tools
+ * that own a cache for their whole lifetime resolve their paths through
+ * it; library DSE calls never read or write snapshots. */
 std::string defaultCacheSnapshotPath();
 
 } // namespace scalehls

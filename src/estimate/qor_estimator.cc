@@ -556,6 +556,30 @@ collectDistinctCallees(Operation *func, Operation *module)
     return callees;
 }
 
+std::unique_ptr<Operation>
+buildReducedClone(Operation *module, Operation *kernel)
+{
+    std::set<Operation *> needed;
+    std::vector<Operation *> worklist = {kernel};
+    while (!worklist.empty()) {
+        Operation *func = worklist.back();
+        worklist.pop_back();
+        if (!needed.insert(func).second)
+            continue;
+        for (Operation *callee : collectDistinctCallees(func, module))
+            worklist.push_back(callee);
+    }
+    auto sub = createModule();
+    Block &body = sub->region(0).front();
+    for (auto &op : module->region(0).front().ops()) {
+        if (!op->is(ops::Func) || !needed.count(op.get()))
+            continue;
+        Operation *copy = body.pushBack(op->clone());
+        setTopFunc(copy, op.get() == kernel);
+    }
+    return sub;
+}
+
 void
 QoREstimator::ensureDigests(Operation *func)
 {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -65,6 +66,14 @@ EstimateDigests moduleEstimateDigests(Operation *module);
  * keep call resolution in one place so they cannot diverge. */
 std::vector<Operation *> collectDistinctCallees(Operation *func,
                                                 Operation *module);
+
+/** @p kernel plus its transitive callee closure, cloned into a standalone
+ * module with the kernel marked top: calls stay resolvable and the
+ * estimator scores the callees, but sibling kernels (and their subtrees)
+ * are never copied. The unit every per-kernel exploration and extracted
+ * DNN kernel is built on. @p module is never mutated. */
+std::unique_ptr<Operation> buildReducedClone(Operation *module,
+                                             Operation *kernel);
 
 /** A band digest plus the context plan-first evaluation needs to
  * interpret cache entries keyed by it. */
@@ -278,6 +287,20 @@ struct QoRResult
     fits(const ResourceBudget &budget) const
     {
         return budget.fits(resources);
+    }
+
+    /** Bit-identical QoR: every field, the four resources included —
+     * the one equality the DSE paths, verifiers and oracles check. */
+    bool
+    operator==(const QoRResult &other) const
+    {
+        return latency == other.latency && interval == other.interval &&
+               feasible == other.feasible && resources == other.resources;
+    }
+    bool
+    operator!=(const QoRResult &other) const
+    {
+        return !(*this == other);
     }
 };
 

@@ -50,6 +50,13 @@ struct ResourceUsage
         memoryBits += other.memoryBits;
         return *this;
     }
+
+    bool
+    operator==(const ResourceUsage &other) const
+    {
+        return dsp == other.dsp && lut == other.lut &&
+               bram18k == other.bram18k && memoryBits == other.memoryBits;
+    }
 };
 
 /** A device resource budget. */

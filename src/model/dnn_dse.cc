@@ -1,7 +1,6 @@
 #include "model/dnn_dse.h"
 
 #include <map>
-#include <set>
 
 #include "analysis/loop_analysis.h"
 #include "api/scalehls.h"
@@ -73,33 +72,9 @@ extractDNNKernels(Operation *lowered, size_t max_kernels)
             continue;
         if (max_kernels != 0 && kernels.size() >= max_kernels)
             break;
-        Operation *func = op.get();
-
-        // The kernel plus its transitive callee closure (stage functions
-        // are usually leaf functions, but the closure keeps any callee
-        // estimable), mirroring optimizeFunctions' reduced clones.
-        std::set<Operation *> needed;
-        std::vector<Operation *> worklist = {func};
-        while (!worklist.empty()) {
-            Operation *current = worklist.back();
-            worklist.pop_back();
-            if (!needed.insert(current).second)
-                continue;
-            for (Operation *callee :
-                 collectDistinctCallees(current, lowered))
-                worklist.push_back(callee);
-        }
-
         DNNKernel kernel;
-        kernel.name = funcName(func);
-        kernel.module = createModule();
-        Block &body = kernel.module->region(0).front();
-        for (auto &candidate : lowered->region(0).front().ops()) {
-            if (!candidate->is(ops::Func) || !needed.count(candidate.get()))
-                continue;
-            Operation *copy = body.pushBack(candidate->clone());
-            setTopFunc(copy, candidate.get() == func);
-        }
+        kernel.name = funcName(op.get());
+        kernel.module = buildReducedClone(lowered, op.get());
         Operation *top = getTopFunc(kernel.module.get());
         kernel.numBands = getLoopBands(top).size();
         top->walk([&](Operation *nested) {

@@ -14,16 +14,6 @@ namespace scalehls {
 
 namespace {
 
-bool
-qorEqual(const QoRResult &a, const QoRResult &b)
-{
-    return a.latency == b.latency && a.interval == b.interval &&
-           a.feasible == b.feasible && a.resources.dsp == b.resources.dsp &&
-           a.resources.lut == b.resources.lut &&
-           a.resources.bram18k == b.resources.bram18k &&
-           a.resources.memoryBits == b.resources.memoryBits;
-}
-
 std::string
 qorStr(const QoRResult &q)
 {
@@ -154,7 +144,7 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         std::vector<QoRResult> qors = evaluator.evaluateBatch(points);
         result.evaluations += points.size();
         for (size_t i = 0; i < points.size(); ++i)
-            if (!qorEqual(qors[i], baseline[i]))
+            if (qors[i] != baseline[i])
                 diverge(run.label,
                         "QoR mismatch at point " + pointStr(points[i]) +
                             ": got " + qorStr(qors[i]) + ", reference " +
@@ -207,7 +197,7 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         if (stats.cacheHits <= hits_before)
             diverge(run.label, "re-evaluation missed the memo cache",
                     points[0]);
-        if (!qorEqual(again, baseline[0]))
+        if (again != baseline[0])
             diverge(run.label,
                     "memo re-probe returned " + qorStr(again) +
                         ", reference " + qorStr(baseline[0]),

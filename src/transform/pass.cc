@@ -96,6 +96,17 @@ makePass(std::string name, std::function<void(Operation *)> fn)
     return std::make_unique<LambdaPass>(std::move(name), std::move(fn));
 }
 
+void
+applyRedundancyElimination(Operation *scope)
+{
+    applyCanonicalize(scope);
+    applySimplifyAffineIf(scope);
+    applyAffineStoreForward(scope);
+    applySimplifyMemrefAccess(scope);
+    applyCSE(scope);
+    applyCanonicalize(scope);
+}
+
 //
 // Pass factories: each traverses the IR and applies the callable transform
 // to every suitable target, matching the command-line behaviour of Table II.

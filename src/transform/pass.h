@@ -154,6 +154,12 @@ bool applySimplifyMemrefAccess(Operation *scope);
 bool applyCanonicalize(Operation *scope);
 /** -cse: common subexpression elimination on pure ops. */
 bool applyCSE(Operation *scope);
+/** The cleanup pipeline run after scheduling transforms (paper Section
+ * V-D): canonicalize, simplify-affine-if, store-forward,
+ * simplify-memref-access, CSE, canonicalize — in that order, the one
+ * sequence Compiler::applySimplifications and DesignSpace::materialize
+ * share. */
+void applyRedundancyElimination(Operation *scope);
 ///@}
 
 /** Fuse two adjacent affine loops with identical domains (the `merge`

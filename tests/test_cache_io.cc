@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <thread>
 
 #include "estimate/cache_io.h"
 #include "estimate/estimate_cache.h"
@@ -360,6 +363,60 @@ TEST(CacheIOTest, MissingFileIsSilentNoFile)
     EXPECT_EQ(result.status, CacheLoadStatus::NoFile);
     EXPECT_EQ(result.totalEntries(), 0u);
     EXPECT_EQ(restored.size(), 0u);
+}
+
+TEST(CacheIOTest, ConcurrentSaversToOnePathNeverCorruptIt)
+{
+    // Two writers save DIFFERENT caches to one path while a reader loads
+    // it: every save succeeds, every load sees a whole snapshot of one
+    // writer (or no file yet), and no temp file is left behind.
+    namespace fs = std::filesystem;
+    const char *tmp = std::getenv("TMPDIR");
+    std::string dir_template =
+        std::string(tmp && *tmp ? tmp : "/tmp") + "/scalehls_io_XXXXXX";
+    ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+    fs::path dir = dir_template;
+    std::string path = (dir / "estimate_cache.shlsnap").string();
+
+    EstimateCache small, large;
+    populate(small, 3);
+    populate(large, 8);
+    constexpr int kSaves = 200;
+    std::atomic<int> failed_saves{0};
+    std::atomic<int> writers_done{0};
+    auto writer = [&](const EstimateCache &cache) {
+        for (int i = 0; i < kSaves; ++i)
+            if (!saveEstimateCache(cache, path))
+                ++failed_saves;
+        ++writers_done;
+    };
+    size_t loads = 0, corrupt = 0, torn = 0;
+    std::thread reader([&] {
+        while (writers_done.load() < 2) {
+            EstimateCache restored;
+            CacheLoadResult result = loadEstimateCache(restored, path);
+            ++loads;
+            corrupt += result.status == CacheLoadStatus::Corrupt;
+            torn += result.loaded() && result.totalEntries() != 12 &&
+                    result.totalEntries() != 32;
+        }
+    });
+    std::thread first(writer, std::cref(small));
+    std::thread second(writer, std::cref(large));
+    first.join();
+    second.join();
+    reader.join();
+
+    EXPECT_EQ(failed_saves.load(), 0);
+    EXPECT_EQ(corrupt, 0u) << "of " << loads << " loads";
+    EXPECT_EQ(torn, 0u);
+    EstimateCache restored;
+    EXPECT_TRUE(loadEstimateCache(restored, path).loaded());
+    size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir))
+        files += entry.is_regular_file() ? 1 : 0;
+    EXPECT_EQ(files, 1u) << "temp files left behind";
+    fs::remove_all(dir);
 }
 
 TEST(CacheIOTest, SaveFailureReportsError)

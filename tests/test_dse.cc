@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <set>
 
@@ -1224,6 +1226,50 @@ TEST(ModelDSE, OptimizeModelComposesUnderBudget)
               result->measured.resources.dsp);
     EXPECT_EQ(single->allocation.choice, result->allocation.choice);
     EXPECT_EQ(single->uniform.bottleneck, result->uniform.bottleneck);
+}
+
+TEST(SnapshotOwnership, LibraryDSECallsDoNoFileIO)
+{
+    // Snapshot persistence belongs to the tool or session that owns a
+    // cache for its whole lifetime. With $SCALEHLS_CACHE_DIR pointing at
+    // an empty directory — and the request's paths resolved from it —
+    // runDSE, optimizeFunctions and optimizeModel leave it empty.
+    namespace fs = std::filesystem;
+    const char *tmp = std::getenv("TMPDIR");
+    std::string dir_template =
+        std::string(tmp && *tmp ? tmp : "/tmp") + "/scalehls_env_XXXXXX";
+    ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+    fs::path dir = dir_template;
+    const char *previous = std::getenv("SCALEHLS_CACHE_DIR");
+    std::string saved = previous ? previous : "";
+    setenv("SCALEHLS_CACHE_DIR", dir.c_str(), 1);
+
+    ExploreRequest request;
+    request.applyEnvDefaults();
+    ASSERT_FALSE(request.dse.cacheSavePath.empty());
+    request.budgetSpec = "vu9p-slr";
+    request.dse.numInitialSamples = 6;
+    request.dse.maxIterations = 6;
+    request.space.maxTileSize = 4;
+    request.space.maxTotalUnroll = 16;
+    ASSERT_FALSE(request.validate());
+
+    Compiler kernels =
+        Compiler::fromC(polybenchSource("gemm", 16) + "\n" +
+                        polybenchSource("syrk", 16));
+    EXPECT_TRUE(runDSE(kernels.module(), request.budget, request.space,
+                       DSEOptions()));
+    EXPECT_TRUE(runDSE(kernels.module(), request));
+    EXPECT_EQ(kernels.optimizeFunctions(request).size(), 2u);
+    Compiler model(buildLoweredDNN("mobilenet", 2));
+    EXPECT_TRUE(model.optimizeModel(request));
+
+    if (previous)
+        setenv("SCALEHLS_CACHE_DIR", saved.c_str(), 1);
+    else
+        unsetenv("SCALEHLS_CACHE_DIR");
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
 }
 
 } // namespace

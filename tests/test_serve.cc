@@ -21,16 +21,6 @@
 namespace scalehls {
 namespace {
 
-/** Session options isolated from any ambient $SCALEHLS_CACHE_DIR. */
-ServeOptions
-isolatedOptions()
-{
-    ServeOptions options;
-    options.cacheLoadPath.clear();
-    options.cacheSavePath.clear();
-    return options;
-}
-
 /** A small, fully pinned polybench request: every DSE knob explicit so
  * the trajectory is a pure function of the request body. */
 std::string
@@ -129,7 +119,7 @@ TEST(JsonTest, EscapeRoundTripsThroughParse)
 
 TEST(ServeTest, MalformedRequestsAnswerWithErrors)
 {
-    ServeSession session(isolatedOptions());
+    ServeSession session;
 
     JsonValue bad = parsed(session.handleLine("this is not json"));
     EXPECT_FALSE(boolAt(bad, "ok"));
@@ -162,7 +152,7 @@ TEST(ServeTest, MalformedRequestsAnswerWithErrors)
 
 TEST(ServeTest, OverlyNestedRequestAnswersWithAnError)
 {
-    ServeSession session(isolatedOptions());
+    ServeSession session;
     std::string deep = std::string(200000, '[') + std::string(200000, ']');
     JsonValue bad = parsed(session.handleLine(deep));
     EXPECT_FALSE(boolAt(bad, "ok"));
@@ -198,7 +188,7 @@ TEST(ServeTest, DSEStatsSumsEveryCounterAndWritesTheResponseKeys)
 
     // The numeric members of a live DSE response (besides its id) are
     // exactly the writer's keys.
-    ServeSession session(isolatedOptions());
+    ServeSession session;
     JsonValue response = parsed(session.handleLine(gemmRequest(1, 7)));
     ASSERT_TRUE(boolAt(response, "feasible"));
     std::set<std::string> response_keys;
@@ -217,7 +207,7 @@ TEST(ServeTest, StatsSaveAndQuitRequests)
     const char *tmp = std::getenv("TMPDIR");
     std::string path = std::string(tmp && *tmp ? tmp : "/tmp") +
                        "/scalehls_test_serve_save.shlsnap";
-    ServeSession session(isolatedOptions());
+    ServeSession session;
 
     JsonValue stats =
         parsed(session.handleLine("{\"id\":1,\"kind\":\"stats\"}"));
@@ -257,7 +247,7 @@ TEST(ServeTest, StatsSaveAndQuitRequests)
 
 TEST(ServeTest, RepeatedRequestsAreDeterministicAndWarm)
 {
-    ServeSession session(isolatedOptions());
+    ServeSession session;
     JsonValue first = parsed(session.handleLine(gemmRequest(1, 7)));
     ASSERT_TRUE(boolAt(first, "ok"));
     ASSERT_TRUE(boolAt(first, "feasible"));
@@ -279,7 +269,7 @@ TEST(ServeTest, ConcurrentDispatchIsBitIdenticalToFreshSessions)
     std::vector<std::string> reference;
     for (int i = 0; i < 4; ++i) {
         requests.push_back(gemmRequest(i, 3 + static_cast<unsigned>(i)));
-        ServeSession fresh(isolatedOptions());
+        ServeSession fresh;
         reference.push_back(qorSlice(parsed(
             fresh.handleLine(requests.back()))));
         EXPECT_NE(reference.back(), "<no qor>");
@@ -288,7 +278,7 @@ TEST(ServeTest, ConcurrentDispatchIsBitIdenticalToFreshSessions)
     // The same requests — duplicated, shuffled across 4 dispatch
     // threads, racing on ONE shared session/cache — must answer with
     // exactly the reference QoR for every copy.
-    ServeSession session(isolatedOptions());
+    ServeSession session;
     ThreadPool pool(4);
     std::mutex mutex;
     std::vector<std::pair<size_t, std::string>> responses;
@@ -324,7 +314,7 @@ TEST(ServeTest, SnapshotCarriesWarmStartAcrossSessions)
 
     std::string cold_slice;
     {
-        ServeOptions options = isolatedOptions();
+        ServeOptions options;
         options.cacheSavePath = path;
         ServeSession session(options);
         JsonValue cold = parsed(session.handleLine(gemmRequest(1, 7)));
@@ -334,7 +324,7 @@ TEST(ServeTest, SnapshotCarriesWarmStartAcrossSessions)
         // ~ServeSession writes the shutdown snapshot.
     }
 
-    ServeOptions options = isolatedOptions();
+    ServeOptions options;
     options.cacheLoadPath = path;
     ServeSession warm_session(options);
     EXPECT_TRUE(warm_session.loadResult().loaded());
@@ -353,12 +343,12 @@ TEST(ServeTest, SnapshotCarriesWarmStartAcrossSessions)
 
 TEST(ServeTest, PerRequestThreadsDoNotChangeQoR)
 {
-    ServeSession session(isolatedOptions());
+    ServeSession session;
     JsonValue serial = parsed(session.handleLine(
         "{\"id\":1,\"kind\":\"polybench\",\"kernel\":\"gemm\","
         "\"size\":8,\"samples\":6,\"iterations\":4,\"batch\":2,"
         "\"seed\":9,\"threads\":1}"));
-    ServeSession other(isolatedOptions());
+    ServeSession other;
     JsonValue pooled = parsed(other.handleLine(
         "{\"id\":2,\"kind\":\"polybench\",\"kernel\":\"gemm\","
         "\"size\":8,\"samples\":6,\"iterations\":4,\"batch\":2,"
@@ -368,7 +358,7 @@ TEST(ServeTest, PerRequestThreadsDoNotChangeQoR)
 
 TEST(ServeTest, KernelRequestAnswersByIndexAndRejectsBadNames)
 {
-    ServeSession session(isolatedOptions());
+    ServeSession session;
     JsonValue kernel = parsed(session.handleLine(
         "{\"id\":1,\"kind\":\"kernel\",\"model\":\"resnet18\","
         "\"graph_level\":4,\"kernel\":0,\"samples\":6,"

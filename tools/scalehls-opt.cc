@@ -21,6 +21,7 @@
 
 #include "api/explore_request.h"
 #include "api/scalehls.h"
+#include "estimate/cache_io.h"
 #include "model/dnn_dse.h"
 #include "model/polybench.h"
 #include "support/utils.h"
@@ -219,20 +220,31 @@ main(int argc, char **argv)
                                 : Compiler(std::move(model_module));
         pm.run(compiler.module());
 
-        // Own the estimate cache here so its hit rate is reportable for
-        // both DSE modes (optimizeFunctions would otherwise create an
-        // internal one).
+        // The tool owns the estimate cache for the whole run: its hit
+        // rate is reportable for every DSE mode, and snapshot
+        // persistence happens here — the library never does file I/O.
         EstimateCache estimate_cache;
         request.dse.applyCacheBounds(estimate_cache);
         if (run_dse || run_dse_funcs || !request.model.empty())
             request.dse.sharedEstimates = &estimate_cache;
-        // The tool owns the cache the exploration uses, so snapshot
-        // persistence happens here (engines and the Compiler skip it
-        // when sharedEstimates is injected).
         if (request.dse.sharedEstimates &&
             !request.dse.cacheLoadPath.empty())
             loadEstimateCacheLogged(estimate_cache,
                                     request.dse.cacheLoadPath);
+        // Saved once, when this scope exits — the infeasible and failed
+        // exits included: whatever was explored warms the next run.
+        struct SaveOnExit
+        {
+            const EstimateCache &cache;
+            std::string path;
+            ~SaveOnExit()
+            {
+                if (!path.empty())
+                    saveEstimateCacheLogged(cache, path);
+            }
+        } save_on_exit{estimate_cache, request.dse.sharedEstimates
+                                           ? request.dse.cacheSavePath
+                                           : std::string()};
         auto report_tier = [](const char *name, const CacheStats &tier) {
             std::cerr << name << " " << tier.hits << " hits / "
                       << tier.lookups() << " lookups ("
@@ -364,11 +376,6 @@ main(int argc, char **argv)
             if (dse_stats.auditViolations != 0)
                 return 1;
         }
-        if (request.dse.sharedEstimates &&
-            !request.dse.cacheSavePath.empty())
-            saveEstimateCacheLogged(estimate_cache,
-                                    request.dse.cacheSavePath);
-
         auto errors = verify(compiler.module());
         for (const auto &error : errors)
             std::cerr << "verifier: " << error << "\n";

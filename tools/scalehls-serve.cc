@@ -236,7 +236,13 @@ serveSocket(ServeSession &session, ThreadPool &pool,
 int
 main(int argc, char **argv)
 {
+    // Snapshot paths default to $SCALEHLS_CACHE_DIR (the env hook every
+    // tool resolves through ExploreRequest); the flags override them.
     ServeOptions options;
+    ExploreRequest env_defaults;
+    env_defaults.applyEnvDefaults();
+    options.cacheLoadPath = env_defaults.dse.cacheLoadPath;
+    options.cacheSavePath = env_defaults.dse.cacheSavePath;
     std::string socket_path;
     unsigned dispatch = 2;
 

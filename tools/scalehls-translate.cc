@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "api/scalehls.h"
+#include "estimate/cache_io.h"
 #include "support/utils.h"
 
 using namespace scalehls;
@@ -57,10 +58,26 @@ main(int argc, char **argv)
             source = buffer.str();
         }
         Compiler compiler = Compiler::fromC(source, top);
-        ExploreRequest request;
-        if (optimize && !compiler.optimize(request)) {
-            std::cerr << "DSE found no feasible design\n";
-            return 1;
+        if (optimize) {
+            // Like scalehls-opt, the tool owns the estimate cache for the
+            // whole run, so it alone persists the $SCALEHLS_CACHE_DIR
+            // snapshot.
+            ExploreRequest request;
+            request.applyEnvDefaults();
+            EstimateCache estimate_cache;
+            request.dse.applyCacheBounds(estimate_cache);
+            request.dse.sharedEstimates = &estimate_cache;
+            if (!request.dse.cacheLoadPath.empty())
+                loadEstimateCacheLogged(estimate_cache,
+                                        request.dse.cacheLoadPath);
+            bool feasible = compiler.optimize(request).has_value();
+            if (!request.dse.cacheSavePath.empty())
+                saveEstimateCacheLogged(estimate_cache,
+                                        request.dse.cacheSavePath);
+            if (!feasible) {
+                std::cerr << "DSE found no feasible design\n";
+                return 1;
+            }
         }
         std::cout << compiler.emitCpp();
     } catch (const FatalError &error) {
