@@ -11,22 +11,6 @@ namespace {
 
 constexpr size_t kNoIndex = static_cast<size_t>(-1);
 
-/** Split the worker budget between function-level concurrency (outer)
- * and point-level concurrency within each exploration: rewrites
- * @p options.numThreads to the inner share and returns the outer pool
- * size. */
-unsigned
-splitThreads(DSEOptions &options, size_t num_kernels)
-{
-    unsigned total = options.numThreads == 0 ? defaultThreadCount()
-                                             : options.numThreads;
-    total = std::max(1u, total);
-    unsigned outer = static_cast<unsigned>(
-        std::min<size_t>(total, std::max<size_t>(1, num_kernels)));
-    options.numThreads = std::max(1u, total / outer);
-    return outer;
-}
-
 /** @p options with one estimate cache spanning the whole call: the
  * caller's injected sharedEstimates, else @p local. The per-point module
  * clones share all non-target functions verbatim (and often the callee
@@ -60,21 +44,22 @@ struct KernelExploration
 
 /** The per-kernel stage shared by optimizeFunctions and optimizeModel:
  * explore every function of @p kernels concurrently, each on its own
- * reduced clone of @p module (never mutated), with the worker budget
- * split between kernels and points. Module retention is scoped to
- * @p retain_budget. Results come back in @p kernels order. */
+ * reduced clone of @p module (never mutated). Every kernel and its
+ * engine's batches share @p pool, which must outlive the engines. Module
+ * retention is scoped to @p retain_budget. Results come back in
+ * @p kernels order. */
 std::vector<KernelExploration>
 exploreKernels(Operation *module, const std::vector<Operation *> &kernels,
                const ResourceBudget &retain_budget,
-               const DesignSpaceOptions &space_options, DSEOptions options)
+               const DesignSpaceOptions &space_options,
+               const DSEOptions &options, ThreadPool &pool)
 {
     std::vector<KernelExploration> explorations(kernels.size());
-    ThreadPool pool(splitThreads(options, kernels.size()));
     pool.parallelFor(kernels.size(), [&](size_t k) {
         KernelExploration &e = explorations[k];
         e.sub = buildReducedClone(module, kernels[k]);
         e.space = std::make_unique<DesignSpace>(e.sub.get(), space_options);
-        e.engine = std::make_unique<DSEEngine>(*e.space, options);
+        e.engine = std::make_unique<DSEEngine>(*e.space, options, &pool);
         e.engine->setFinalizeBudget(retain_budget);
         e.frontier = e.engine->explore();
         e.retained = retainFrontier(*e.space, e.frontier);
@@ -284,10 +269,12 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
     share.memoryBits /= n;
 
     auto start = std::chrono::steady_clock::now();
+    // Declared before the explorations, whose engines borrow it.
+    ThreadPool pool(request.dse.numThreads);
     EstimateCache local_estimates;
     std::vector<KernelExploration> explorations = exploreKernels(
         module_.get(), kernels, share, request.space,
-        withSharedCache(request.dse, local_estimates));
+        withSharedCache(request.dse, local_estimates), pool);
 
     // Finalize and splice the winners back sequentially, in module
     // function order, so the resulting module is deterministic.
@@ -348,10 +335,9 @@ Compiler::optimizeModel(const ExploreRequest &request)
     DSEOptions inner = withSharedCache(options, local_estimates);
     EstimateCache *shared = inner.sharedEstimates;
 
-    unsigned total_threads = options.numThreads == 0
-                                 ? defaultThreadCount()
-                                 : options.numThreads;
-    ThreadPool est_pool(std::max(1u, total_threads));
+    // The call's one pool: estimates, kernels and batches all run on
+    // it. Declared before the explorations, whose engines borrow it.
+    ThreadPool pool(options.numThreads);
 
     // Baseline estimates of the whole module and of each stage callee.
     // The top's glue latency (the +2 epilogue plus any non-call body
@@ -359,7 +345,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
     // control logic) are derived by SUBTRACTION, so the composed
     // prediction mirrors the estimator's dataflow composition exactly
     // rather than approximating it.
-    QoREstimator baseline(module_.get(), &est_pool, shared,
+    QoREstimator baseline(module_.get(), &pool, shared,
                           options.bandLevelCache,
                           options.partitionAwareBandKeys);
     QoRResult m0 = baseline.estimateModule();
@@ -399,7 +385,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
         stage_of_kernel.push_back(i);
     }
     std::vector<KernelExploration> explorations = exploreKernels(
-        module_.get(), kernel_funcs, budget, space_options, inner);
+        module_.get(), kernel_funcs, budget, space_options, inner, pool);
 
     // Stage frontiers as seen from the top: candidate latencies carry
     // the +1 call overhead; fixed (non-kernel) stages get exactly their
@@ -489,7 +475,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
     // measured QoR is authoritative — the composed prediction is only
     // trusted when it matches bit-identically.
     auto errors = verifyErrors(module_.get());
-    QoREstimator measure(module_.get(), &est_pool, shared,
+    QoREstimator measure(module_.get(), &pool, shared,
                          options.bandLevelCache,
                          options.partitionAwareBandKeys);
     out.measured = measure.estimateModule();

@@ -90,10 +90,11 @@ class Compiler
     /** Multi-kernel DSE: run an independent design-space exploration for
      * EVERY function carrying a loop band, concurrently (each kernel's
      * exploration is its own sequential trajectory; the module budget is
-     * split evenly across kernels). Functions with a feasible design are
-     * replaced in place by their optimized form; the rest are left
-     * untouched. Results come back in module function order and are
-     * deterministic for a fixed seed at any thread count. */
+     * split evenly across kernels). `request.dse.numThreads` sizes the
+     * one pool the call shares across all its kernels. Functions with a
+     * feasible design are replaced in place by their optimized form; the
+     * rest are left untouched. Results come back in module function
+     * order and are deterministic for a fixed seed at any thread count. */
     std::vector<FuncDSEResult> optimizeFunctions(
         const ExploreRequest &request);
 
@@ -152,7 +153,8 @@ class Compiler
      * merely summed. The module must carry a dataflow top function with
      * at least one call. Returns nullopt on structural failure; an
      * in-budget-infeasible model comes back with
-     * `allocation.feasible == false` and the module untouched.
+     * `allocation.feasible == false` and the module untouched. Its one
+     * pool of `request.dse.numThreads` is shared across all its kernels.
      * Deterministic for a fixed seed at any thread count. */
     std::optional<ModelDSEResult> optimizeModel(const ExploreRequest &request);
 

@@ -15,7 +15,10 @@ DSEEngine::explore()
     evaluated_.clear();
     std::mt19937 rng(options_.seed);
 
-    pool_ = std::make_unique<ThreadPool>(options_.numThreads);
+    if (!pool_) {
+        owned_pool_ = std::make_unique<ThreadPool>(options_.numThreads);
+        pool_ = owned_pool_.get();
+    }
     // Cross-point estimate cache: external if supplied, per-exploration
     // otherwise. Content-keyed, so it never changes results — only how
     // often the estimator re-walks identical IR.
@@ -34,7 +37,7 @@ DSEEngine::explore()
         options_.partitionAwareBandKeys;
     evaluator_options.audit = options_.auditMode;
     evaluator_ = std::make_unique<CachingEvaluator>(
-        space_, pool_.get(), estimates, evaluator_options);
+        space_, pool_, estimates, evaluator_options);
     // Keep the winning module so finalization does not re-materialize
     // the point it just evaluated.
     evaluator_->retainBestModule(finalize_budget_);
@@ -126,7 +129,7 @@ DSEEngine::materializeEvaluated(const EvaluatedPoint &chosen)
     // check the module really carries the QoR the frontier promised —
     // this also end-to-end-verifies any plan-first composition that fed
     // the chosen point's cached result.
-    QoREstimator estimator(module.get(), pool_.get(), estimates_in_use_,
+    QoREstimator estimator(module.get(), pool_, estimates_in_use_,
                            options_.bandLevelCache,
                            options_.partitionAwareBandKeys);
     QoRResult check = estimator.estimateModule();

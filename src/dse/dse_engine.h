@@ -30,8 +30,9 @@ struct DSEOptions
     unsigned maxIterations = 400;     ///< Step 4 proposal budget.
     unsigned seed = 20220402;         ///< RNG seed (deterministic runs).
     DSEStrategy strategy = DSEStrategy::NeighborTraversal;
-    /** QoR evaluation worker threads; 0 = hardware_concurrency. Does NOT
-     * affect results, only wall-clock. */
+    /** QoR evaluation worker threads; 0 = hardware_concurrency. Sizes
+     * the one pool a call shares across all its kernels and batches.
+     * Does NOT affect results, only wall-clock. */
     unsigned numThreads = 0;
     /** Points proposed per exploration round. Part of the deterministic
      * trajectory — keep it fixed when comparing runs (it intentionally
@@ -91,8 +92,11 @@ struct DSEOptions
 class DSEEngine
 {
   public:
-    DSEEngine(DesignSpace &space, DSEOptions options = {})
-        : space_(space), options_(options)
+    /** @p pool (not owned) runs all evaluation and may be shared with
+     * other engines; nullptr = explore() owns a `numThreads` pool. */
+    DSEEngine(DesignSpace &space, DSEOptions options = {},
+              ThreadPool *pool = nullptr)
+        : space_(space), options_(options), pool_(pool)
     {}
 
     /** Steps 1-4: sample, then evolve the frontier by proposing batches
@@ -166,7 +170,8 @@ class DSEEngine
     /** Exploration state kept alive across explore() so
      * materializeEvaluated can reuse the retained module and the warm
      * caches. */
-    std::unique_ptr<ThreadPool> pool_;
+    ThreadPool *pool_;
+    std::unique_ptr<ThreadPool> owned_pool_;
     std::unique_ptr<EstimateCache> local_estimates_;
     EstimateCache *estimates_in_use_ = nullptr;
     std::unique_ptr<CachingEvaluator> evaluator_;

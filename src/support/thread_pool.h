@@ -1,10 +1,9 @@
 /**
  * @file
- * A small fixed-size thread pool (no work stealing): a mutex-protected
- * task queue drained by worker threads, plus a blocking parallelFor that
- * the caller participates in. Built for the parallel DSE evaluation
- * pipeline, where each task is a coarse-grained materialize+estimate job
- * and queue contention is negligible next to task cost.
+ * A small fixed-size thread pool: a mutex-protected task queue drained
+ * by worker threads, plus a blocking parallelFor the caller joins. One
+ * pool serves nested parallelFors: idle workers pick up the queued
+ * helpers of any open batch. Built for coarse DSE evaluation tasks.
  */
 
 #ifndef SCALEHLS_SUPPORT_THREAD_POOL_H
@@ -39,8 +38,9 @@ class ThreadPool
 
     /** Run fn(0..n-1), blocking until all iterations finish. Iterations
      * are handed out through an atomic counter; the calling thread works
-     * alongside the pool. The first exception thrown by any iteration is
-     * rethrown on the caller after all iterations drain. */
+     * alongside the pool, so a parallelFor nested in an iteration never
+     * deadlocks. The first exception thrown by any iteration is rethrown
+     * on the caller after all iterations drain. */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
     /** Enqueue one task for asynchronous execution (inline pools run it

@@ -34,6 +34,20 @@ expectIdenticalQoR(const QoRResult &a, const QoRResult &b,
     EXPECT_EQ(a.resources.memoryBits, b.resources.memoryBits) << label;
 }
 
+/** Two retained frontiers agree point for point and QoR for QoR
+ * (thread-count identity checks). */
+void
+expectSameFrontier(const std::vector<FrontierPoint> &a,
+                   const std::vector<FrontierPoint> &b,
+                   const std::string &label)
+{
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].point, b[i].point) << label << " #" << i;
+        EXPECT_TRUE(a[i].qor == b[i].qor) << label << " #" << i;
+    }
+}
+
 TEST(Pareto, Dominance)
 {
     QoRPoint a{10, 5};
@@ -538,6 +552,22 @@ TEST(MultiKernelDSE, ConcurrentPerFunctionFlow)
 
     // The top function's QoR improved over the unoptimized baseline.
     EXPECT_LT(compiler.estimate().latency, baseline);
+
+    // Bit-identical on one worker: the same points, QoRs and frontiers.
+    Compiler serial = Compiler::fromC(source + "\n" + second);
+    request.dse.numThreads = 1;
+    auto single = serial.optimizeFunctions(request);
+    ASSERT_EQ(single.size(), results.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(single[i].func, results[i].func);
+        EXPECT_EQ(single[i].point, results[i].point) << results[i].func;
+        EXPECT_TRUE(single[i].qor == results[i].qor) << results[i].func;
+        EXPECT_EQ(single[i].stats.evaluations,
+                  results[i].stats.evaluations);
+        expectSameFrontier(single[i].frontier, results[i].frontier,
+                           results[i].func);
+    }
+    EXPECT_EQ(printOp(serial.module()), printOp(compiler.module()));
 }
 
 TEST(PCA, SeparatesClusters)
@@ -1185,7 +1215,7 @@ TEST(ModelDSE, OptimizeModelComposesUnderBudget)
         return result;
     };
 
-    auto result = run(2);
+    auto result = run(4);
     ASSERT_TRUE(result.has_value());
     ASSERT_FALSE(result->stages.empty());
     ASSERT_TRUE(result->allocation.feasible);
@@ -1217,15 +1247,24 @@ TEST(ModelDSE, OptimizeModelComposesUnderBudget)
     EXPECT_EQ(evaluations, result->evaluations);
     EXPECT_GT(result->evaluations, 0u);
 
-    // Bit-identical at any thread count.
+    // Bit-identical at any thread count: 4 workers share one pool, so
+    // kernels and their batches really run concurrently.
     auto single = run(1);
     ASSERT_TRUE(single.has_value());
-    EXPECT_EQ(single->measured.latency, result->measured.latency);
-    EXPECT_EQ(single->measured.interval, result->measured.interval);
-    EXPECT_EQ(single->measured.resources.dsp,
-              result->measured.resources.dsp);
+    EXPECT_TRUE(single->measured == result->measured);
+    EXPECT_TRUE(single->composed == result->composed);
     EXPECT_EQ(single->allocation.choice, result->allocation.choice);
     EXPECT_EQ(single->uniform.bottleneck, result->uniform.bottleneck);
+    EXPECT_EQ(single->evaluations, result->evaluations);
+    ASSERT_EQ(single->stages.size(), result->stages.size());
+    for (size_t i = 0; i < result->stages.size(); ++i) {
+        const auto &a = single->stages[i];
+        const auto &b = result->stages[i];
+        EXPECT_EQ(a.func, b.func);
+        EXPECT_EQ(a.chosen, b.chosen) << a.func;
+        EXPECT_TRUE(a.qor == b.qor) << a.func;
+        expectSameFrontier(a.frontier, b.frontier, a.func);
+    }
 }
 
 TEST(SnapshotOwnership, LibraryDSECallsDoNoFileIO)

@@ -120,6 +120,45 @@ TEST(ThreadPool, ParallelForPropagatesExceptions)
     EXPECT_EQ(completed.load(), 63u);
 }
 
+TEST(ThreadPool, NestedParallelForOnOnePool)
+{
+    // Whole-model DSE nests: each kernel is an outer iteration, and its
+    // batches run an inner parallelFor on the same pool.
+    ThreadPool pool(4);
+    constexpr size_t kOuter = 7;
+    constexpr size_t kInner = 8;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    pool.parallelFor(kOuter, [&](size_t o) {
+        pool.parallelFor(kInner, [&](size_t i) {
+            hits[o * kInner + i].fetch_add(1);
+        });
+    });
+    for (size_t k = 0; k < hits.size(); ++k)
+        EXPECT_EQ(hits[k].load(), 1)
+            << "outer " << k / kInner << " inner " << k % kInner;
+
+    // An inner iteration's exception reaches the outer caller.
+    EXPECT_THROW(pool.parallelFor(kOuter,
+                                  [&](size_t o) {
+                                      pool.parallelFor(kInner, [&](size_t i) {
+                                          if (o == 5 && i == 3)
+                                              throw std::runtime_error(
+                                                  "inner");
+                                      });
+                                  }),
+                 std::runtime_error);
+
+    // The pool stays usable afterwards, nested or not.
+    std::atomic<size_t> ran{0};
+    pool.parallelFor(kOuter, [&](size_t) {
+        pool.parallelFor(kInner, [&](size_t) { ran.fetch_add(1); });
+    });
+    EXPECT_EQ(ran.load(), kOuter * kInner);
+    pool.submit([&ran] { ran.fetch_add(1); });
+    pool.waitIdle();
+    EXPECT_EQ(ran.load(), kOuter * kInner + 1);
+}
+
 TEST(ThreadPool, SubmitAndWaitIdle)
 {
     ThreadPool pool(3);

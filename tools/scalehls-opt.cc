@@ -326,11 +326,14 @@ main(int argc, char **argv)
             }
             for (const auto &stage : result->stages) {
                 std::cerr << "stage " << stage.func << ": ";
-                if (stage.kernel)
+                if (stage.kernel) {
                     std::cerr << stage.frontier.size()
-                              << " frontier points, chose #"
-                              << stage.chosen << ", ";
-                else
+                              << " frontier points, ";
+                    if (stage.chosen < stage.frontier.size())
+                        std::cerr << "chose #" << stage.chosen << ", ";
+                    else
+                        std::cerr << "no design chosen, ";
+                } else
                     std::cerr << "fixed baseline, ";
                 std::cerr << "latency=" << stage.qor.latency
                           << " DSP=" << stage.qor.resources.dsp << "\n";
