@@ -401,6 +401,40 @@ findRecurrences(const std::vector<Operation *> &band)
     return recurrences;
 }
 
+void
+markPartitionRelevantDims(const std::vector<MemAccess> &group,
+                          std::vector<bool> &mask)
+{
+    const size_t rank = mask.size();
+    std::vector<const AffineExprNode *> linear;
+    for (unsigned d = 0; d < rank; ++d) {
+        if (mask[d])
+            continue;
+        // possiblySameBank never reads the plan for non-normalized or
+        // rank-mismatched accesses; non-linear subscripts have no known
+        // nonzero difference from anything.
+        linear.clear();
+        for (const MemAccess &access : group) {
+            if (!access.normalized || access.indices.size() != rank)
+                continue;
+            const AffineExprNode &node = access.indices[d].node();
+            if (node.linValid)
+                linear.push_back(&node);
+        }
+        // Sorted by (coefficients, constant), a coefficient bucket with
+        // two constants has two neighbours that differ only in the
+        // constant.
+        std::sort(linear.begin(), linear.end(), [](auto *a, auto *b) {
+            if (a->linCoeffs != b->linCoeffs)
+                return a->linCoeffs < b->linCoeffs;
+            return a->linConst < b->linConst;
+        });
+        for (size_t i = 1; i < linear.size() && !mask[d]; ++i)
+            mask[d] = linear[i - 1]->linCoeffs == linear[i]->linCoeffs &&
+                      linear[i - 1]->linConst != linear[i]->linConst;
+    }
+}
+
 std::map<Value *, std::vector<bool>>
 partitionRelevantDims(Operation *band_root)
 {
@@ -418,26 +452,8 @@ partitionRelevantDims(Operation *band_root)
             auto &mask =
                 relevant.emplace(memref, std::vector<bool>(rank, false))
                     .first->second;
-            if (mask.size() != rank)
-                continue;
-            for (size_t i = 0; i < group.size(); ++i) {
-                const MemAccess &a = group[i];
-                if (!a.normalized || a.indices.size() != rank)
-                    continue; // possiblySameBank never reads the plan.
-                for (size_t j = i + 1; j < group.size(); ++j) {
-                    const MemAccess &b = group[j];
-                    if (!b.normalized || b.indices.size() != rank)
-                        continue;
-                    for (unsigned d = 0; d < rank; ++d) {
-                        if (mask[d])
-                            continue;
-                        auto diff =
-                            constantDiff(a.indices[d], b.indices[d]);
-                        if (diff && *diff != 0)
-                            mask[d] = true;
-                    }
-                }
-            }
+            if (mask.size() == rank)
+                markPartitionRelevantDims(group, mask);
         }
     };
 

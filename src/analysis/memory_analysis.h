@@ -113,6 +113,15 @@ std::string subscriptKey(const MemAccess &access);
 std::map<Value *, std::vector<bool>> partitionRelevantDims(
     Operation *band_root);
 
+/** The per-scope step of partitionRelevantDims: set @p mask[d] when two
+ * normalized accesses of @p group whose rank equals mask.size() have a
+ * known nonzero constant difference (constantDiff) along d. Such a
+ * difference exists exactly when both subscripts are linear with equal
+ * coefficients and different constants, so the accesses are bucketed by
+ * coefficient vector instead of compared pairwise. Set bits stay set. */
+void markPartitionRelevantDims(const std::vector<MemAccess> &group,
+                               std::vector<bool> &mask);
+
 /** Find memory recurrences within @p band. Only equal-subscript pairs are
  * detected (the dominant recurrence pattern of reduction kernels);
  * non-normalizable accesses conservatively produce a distance-1

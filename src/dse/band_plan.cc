@@ -1,7 +1,5 @@
 #include "dse/band_plan.h"
 
-#include <unordered_map>
-
 #include "analysis/loop_analysis.h"
 #include "analysis/memory_analysis.h"
 #include "estimate/coherence_audit.h"
@@ -256,17 +254,16 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     // (transforms preserve them; see the class comment).
     AllocOwnershipInfo overlay_own = ownership_;
     for (OwnedBuffer &buffer : overlay_own.buffers) {
-        auto vi = ov.map.find(buffer.memref);
+        Value *memref = ov.map.lookupOrNull(buffer.memref);
         auto oi = ov.children.find(buffer.alloc);
-        if (vi == ov.map.end() || oi == ov.children.end())
+        if (!memref || oi == ov.children.end())
             return out;
-        buffer.memref = vi->second;
+        buffer.memref = memref;
         buffer.alloc = oi->second;
     }
-    std::unordered_map<Value *, Value *> reverse;
-    reverse.reserve(ov.map.size());
-    for (const auto &[base, overlay] : ov.map)
-        reverse[overlay] = base;
+    IRMapping reverse(ov.map.size());
+    ov.map.forEach(
+        [&](Value *base, Value *overlay) { reverse.map(overlay, base); });
 
     // Phase 1 on each missed band: the materializer's per-band
     // transform sequence, then verify (or record) the plan.
@@ -300,10 +297,9 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
             outcome.composable = true;
             outcome.extMap.reserve(infos[b]->externals.size());
             for (Value *ext : infos[b]->externals) {
-                auto ri = reverse.find(ext);
+                Value *base = reverse.lookupOrNull(ext);
                 unsigned index = 0;
-                if (ri == reverse.end() ||
-                    !seedIndexOf(b, ri->second, index)) {
+                if (!base || !seedIndexOf(b, base, index)) {
                     // A transform-created (or otherwise unmapped) flat
                     // external: the entry could never be resolved onto
                     // the pristine table.
@@ -429,11 +425,10 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
             auto nest = getLoopNest(current[b]);
             auto accesses = collectAccesses(current[b], bandIVs(nest));
             for (auto &[memref, group] : groupByMemRef(accesses)) {
-                auto ri = reverse.find(memref);
-                if (ri == reverse.end())
+                Value *base = reverse.lookupOrNull(memref);
+                if (!base)
                     return out;
-                if (!merge_plan(ri->second,
-                                computePartitionPlan(memref, group)))
+                if (!merge_plan(base, computePartitionPlan(memref, group)))
                     return out;
             }
         }
@@ -441,10 +436,10 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     for (const auto &[pristine, plan] : merged) {
         if (plan.isTrivial())
             continue;
-        auto vi = ov.map.find(pristine);
-        if (vi == ov.map.end())
+        Value *overlay = ov.map.lookupOrNull(pristine);
+        if (!overlay)
             return out;
-        applyPartitionPlan(vi->second, plan);
+        applyPartitionPlan(overlay, plan);
     }
 
     // Estimate the overlay. The function is renamed so the estimator's

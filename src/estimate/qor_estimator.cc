@@ -102,9 +102,12 @@ groupPressure(const std::vector<MemAccess> &accesses,
     if (accesses.empty() || ports <= 0)
         return 0;
     UnionFind uf(accesses.size());
+    // A pair already in one component would merge to no effect, so its
+    // bank test is skipped; the components are the same either way.
     for (size_t i = 0; i < accesses.size(); ++i)
         for (size_t j = i + 1; j < accesses.size(); ++j)
-            if (possiblySameBank(accesses[i], accesses[j], plan, shape))
+            if (uf.find(i) != uf.find(j) &&
+                possiblySameBank(accesses[i], accesses[j], plan, shape))
                 uf.merge(i, j);
     std::map<size_t, int64_t> sizes;
     for (size_t i = 0; i < accesses.size(); ++i)

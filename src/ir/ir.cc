@@ -311,97 +311,6 @@ Operation::collect(std::string_view name)
     return out;
 }
 
-/** The clone remap table: open-addressed, pointer-keyed, sized once to
- * the cloned tree's value count. A std::unordered_map rehashes several
- * times while a big module clone grows it and chases list nodes on every
- * operand lookup; this table allocates once and probes linearly, which is
- * what makes per-point module clones cheap on the DSE hot path. */
-class ValueRemap
-{
-  public:
-    explicit ValueRemap(size_t expected)
-    {
-        size_t cap = 16;
-        while (cap < expected * 2)
-            cap <<= 1;
-        slots_.assign(cap, {nullptr, nullptr});
-        mask_ = cap - 1;
-    }
-
-    void
-    set(Value *from, Value *to)
-    {
-        if ((size_ + 1) * 2 > slots_.size())
-            grow();
-        insertSlot(from, to);
-    }
-
-    Value *
-    get(Value *from) const
-    {
-        for (size_t i = hash(from) & mask_;; i = (i + 1) & mask_) {
-            const auto &slot = slots_[i];
-            if (!slot.first)
-                return nullptr;
-            if (slot.first == from)
-                return slot.second;
-        }
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn fn) const
-    {
-        for (const auto &slot : slots_)
-            if (slot.first)
-                fn(slot.first, slot.second);
-    }
-
-  private:
-    static size_t
-    hash(const Value *v)
-    {
-        // Pointer bits are alignment-poor in the low bits; mix them.
-        auto x = reinterpret_cast<uintptr_t>(v);
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdull;
-        x ^= x >> 29;
-        return static_cast<size_t>(x);
-    }
-
-    void
-    insertSlot(Value *from, Value *to)
-    {
-        for (size_t i = hash(from) & mask_;; i = (i + 1) & mask_) {
-            if (!slots_[i].first) {
-                slots_[i] = {from, to};
-                ++size_;
-                return;
-            }
-            if (slots_[i].first == from) {
-                slots_[i].second = to;
-                return;
-            }
-        }
-    }
-
-    void
-    grow()
-    {
-        auto old = std::move(slots_);
-        slots_.assign(old.size() * 2, {nullptr, nullptr});
-        mask_ = slots_.size() - 1;
-        size_ = 0;
-        for (const auto &slot : old)
-            if (slot.first)
-                insertSlot(slot.first, slot.second);
-    }
-
-    std::vector<std::pair<Value *, Value *>> slots_;
-    size_t mask_ = 0;
-    size_t size_ = 0;
-};
-
 size_t
 Operation::countValues() const
 {
@@ -416,7 +325,7 @@ Operation::countValues() const
 }
 
 std::unique_ptr<Operation>
-Operation::cloneImpl(ValueRemap &remap, bool *complete) const
+Operation::cloneImpl(IRMapping &mapping, bool *complete) const
 {
     std::vector<Type> result_types;
     result_types.reserve(results_.size());
@@ -426,7 +335,7 @@ Operation::cloneImpl(ValueRemap &remap, bool *complete) const
     std::vector<Value *> new_operands;
     new_operands.reserve(operands_.size());
     for (Value *v : operands_) {
-        Value *mapped = v ? remap.get(v) : nullptr;
+        Value *mapped = v ? mapping.lookupOrNull(v) : nullptr;
         if (!mapped && v && complete) {
             // Strict mode: never alias the original value (that would
             // mutate its use list — the shared base of an overlay).
@@ -439,7 +348,7 @@ Operation::cloneImpl(ValueRemap &remap, bool *complete) const
     auto cloned = create(name_, std::move(result_types),
                          std::move(new_operands), attrs_, 0);
     for (unsigned i = 0; i < numResults(); ++i)
-        remap.set(results_[i].get(), cloned->results_[i].get());
+        mapping.map(results_[i].get(), cloned->results_[i].get());
 
     for (auto &region : regions_) {
         auto new_region = std::make_unique<Region>();
@@ -448,10 +357,10 @@ Operation::cloneImpl(ValueRemap &remap, bool *complete) const
             Block *new_block = new_region->addBlock();
             for (auto &arg : block->args_) {
                 Value *new_arg = new_block->addArgument(arg->type());
-                remap.set(arg.get(), new_arg);
+                mapping.map(arg.get(), new_arg);
             }
             for (auto &op : block->ops_)
-                new_block->pushBack(op->cloneImpl(remap, complete));
+                new_block->pushBack(op->cloneImpl(mapping, complete));
         }
         cloned->regions_.push_back(std::move(new_region));
     }
@@ -459,34 +368,25 @@ Operation::cloneImpl(ValueRemap &remap, bool *complete) const
 }
 
 std::unique_ptr<Operation>
-Operation::clone(std::unordered_map<Value *, Value *> &mapping) const
+Operation::clone(IRMapping &mapping) const
 {
-    ValueRemap remap(mapping.size() + countValues());
-    for (const auto &[from, to] : mapping)
-        remap.set(from, to);
-    auto cloned = cloneImpl(remap);
-    remap.forEach([&](Value *from, Value *to) { mapping[from] = to; });
-    return cloned;
+    mapping.reserve(mapping.size() + countValues());
+    return cloneImpl(mapping);
 }
 
 std::unique_ptr<Operation>
 Operation::clone() const
 {
-    ValueRemap remap(countValues());
-    return cloneImpl(remap);
+    IRMapping mapping(countValues());
+    return cloneImpl(mapping);
 }
 
 std::unique_ptr<Operation>
-Operation::cloneStrict(std::unordered_map<Value *, Value *> &mapping,
-                       bool &complete) const
+Operation::cloneStrict(IRMapping &mapping, bool &complete) const
 {
     complete = true;
-    ValueRemap remap(mapping.size() + countValues());
-    for (const auto &[from, to] : mapping)
-        remap.set(from, to);
-    auto cloned = cloneImpl(remap, &complete);
-    remap.forEach([&](Value *from, Value *to) { mapping[from] = to; });
-    return cloned;
+    mapping.reserve(mapping.size() + countValues());
+    return cloneImpl(mapping, &complete);
 }
 
 //

@@ -8,20 +8,21 @@
  * a Region holds Blocks; a Block holds a sequence of Operations plus typed
  * block arguments (used for loop induction variables and function
  * parameters). Def-use chains are maintained eagerly so transforms can query
- * users and rewrite uses.
+ * users and rewrite uses. An IRMapping records which value stands for which
+ * while a tree is cloned.
  */
 
 #ifndef SCALEHLS_IR_IR_H
 #define SCALEHLS_IR_IR_H
 
 #include <cassert>
+#include <cstdint>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/attributes.h"
@@ -32,7 +33,6 @@ namespace scalehls {
 class Operation;
 class Block;
 class Region;
-class ValueRemap;
 
 /** The owning op list of a Block. */
 using OpList = std::list<std::unique_ptr<Operation>>;
@@ -87,6 +87,124 @@ class Value
     Operation *owner_ = nullptr;
     Block *block_ = nullptr;
     std::vector<Operation *> users_;
+};
+
+/** The value map of a clone: source value -> cloned value. Open-addressed
+ * and pointer-keyed with linear probing; a clone reserves room for the
+ * cloned tree's values up front, so it rehashes at most once.
+ * Callers that clone op after op into one block (unrolling, inlining,
+ * overlays) pass the same mapping to every clone, so later ops resolve
+ * their operands to earlier clones; each clone costs O(its own size),
+ * never a copy of the entries already recorded. */
+class IRMapping
+{
+  public:
+    explicit IRMapping(size_t expected = 0) { rehash(capacityFor(expected)); }
+
+    /** Record @p from -> @p to, overwriting an earlier entry for @p from. */
+    void
+    map(Value *from, Value *to)
+    {
+        if ((size_ + 1) * 2 > slots_.size())
+            rehash(slots_.size() * 2);
+        insertSlot(from, to);
+    }
+
+    /** The value @p from maps to, or nullptr when it is unmapped. */
+    Value *
+    lookupOrNull(Value *from) const
+    {
+        for (size_t i = hash(from) & mask_;; i = (i + 1) & mask_) {
+            const auto &slot = slots_[i];
+            if (!slot.first)
+                return nullptr;
+            if (slot.first == from)
+                return slot.second;
+        }
+    }
+
+    /** The value @p from maps to; @p from must be mapped. */
+    Value *
+    lookup(Value *from) const
+    {
+        Value *to = lookupOrNull(from);
+        assert(to && "IRMapping::lookup of an unmapped value");
+        return to;
+    }
+
+    /** Number of recorded entries. */
+    size_t size() const { return size_; }
+
+    /** Make room for @p count entries in total without further growth. */
+    void
+    reserve(size_t count)
+    {
+        if (count * 2 > slots_.size())
+            rehash(capacityFor(count));
+    }
+
+    /** Call @p fn(from, to) on every entry, in unspecified order. */
+    template <typename Fn>
+    void
+    forEach(Fn fn) const
+    {
+        for (const auto &slot : slots_)
+            if (slot.first)
+                fn(slot.first, slot.second);
+    }
+
+  private:
+    static size_t
+    capacityFor(size_t count)
+    {
+        size_t cap = 16;
+        while (cap < count * 2)
+            cap <<= 1;
+        return cap;
+    }
+
+    static size_t
+    hash(const Value *v)
+    {
+        // Pointer bits are alignment-poor in the low bits; mix them.
+        auto x = reinterpret_cast<uintptr_t>(v);
+        x ^= x >> 33;
+        x *= 0xff51afd7ed558ccdull;
+        x ^= x >> 29;
+        return static_cast<size_t>(x);
+    }
+
+    void
+    insertSlot(Value *from, Value *to)
+    {
+        for (size_t i = hash(from) & mask_;; i = (i + 1) & mask_) {
+            if (!slots_[i].first) {
+                slots_[i] = {from, to};
+                ++size_;
+                return;
+            }
+            if (slots_[i].first == from) {
+                slots_[i].second = to;
+                return;
+            }
+        }
+    }
+
+    void
+    rehash(size_t capacity)
+    {
+        auto old = std::move(slots_);
+        slots_.assign(capacity, {nullptr, nullptr});
+        mask_ = capacity - 1;
+        size_ = 0;
+        for (const auto &slot : old)
+            if (slot.first)
+                insertSlot(slot.first, slot.second);
+    }
+
+    std::vector<std::pair<Value *, Value *>> slots_;
+    size_t mask_ = 0;
+    size_t size_ = 0;
 };
 
 /** Ordered attribute dictionary (ordered for deterministic printing). */
@@ -207,11 +325,9 @@ class Operation
      * @p mapping (falling back to the original value for values defined
      * outside the cloned tree); cloned results/block-args are recorded
      * into @p mapping. */
-    std::unique_ptr<Operation> clone(
-        std::unordered_map<Value *, Value *> &mapping) const;
+    std::unique_ptr<Operation> clone(IRMapping &mapping) const;
     /** Clone with a fresh empty mapping. Hot path of the DSE stack (one
-     * clone per materialized design point): the remap table is sized to
-     * the tree's value count up front, so cloning never rehashes. */
+     * clone per materialized design point). */
     std::unique_ptr<Operation> clone() const;
 
     /** Strict deep-clone for copy-on-write overlays: like clone(), but a
@@ -221,8 +337,8 @@ class Operation
      * the clone on the original value's use list — a write to the shared
      * base that races concurrent overlay builds over one pristine module.
      * An incomplete strict clone must be discarded by the caller. */
-    std::unique_ptr<Operation> cloneStrict(
-        std::unordered_map<Value *, Value *> &mapping, bool &complete) const;
+    std::unique_ptr<Operation> cloneStrict(IRMapping &mapping,
+                                           bool &complete) const;
 
     /** Number of values (op results + block arguments) defined inside
      * this op's tree, i.e. the number of remap entries a clone records. */
@@ -232,11 +348,11 @@ class Operation
     Operation() = default;
     friend class Block;
 
-    /** Shared clone core over the pre-sized remap table. With @p complete
+    /** Shared clone core over a pre-sized mapping. With @p complete
      * non-null, unmapped external uses become null operands and clear it
      * (the strict mode of cloneStrict); with it null, they fall back to
      * the original value (the classic clone semantics). */
-    std::unique_ptr<Operation> cloneImpl(ValueRemap &remap,
+    std::unique_ptr<Operation> cloneImpl(IRMapping &mapping,
                                          bool *complete = nullptr) const;
 
     std::string name_;

@@ -23,7 +23,7 @@ overlayClone(Operation *base, const std::set<const Operation *> &skip)
             Block *overlay_block = out.op->region(r).addBlock();
             for (unsigned a = 0; a < block->numArguments(); ++a) {
                 Value *arg = block->argument(a);
-                out.map[arg] = overlay_block->addArgument(arg->type());
+                out.map.map(arg, overlay_block->addArgument(arg->type()));
             }
             for (const auto &child : block->ops()) {
                 if (skip.count(child.get()))

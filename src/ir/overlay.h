@@ -37,7 +37,7 @@ struct OverlayClone
      * a result of a skipped subtree. The overlay is unusable then. */
     bool complete = true;
     /** Base value -> overlay value. */
-    std::unordered_map<Value *, Value *> map;
+    IRMapping map;
     /** Base top-level child -> its overlay clone (kept children only). */
     std::unordered_map<Operation *, Operation *> children;
 };

@@ -475,15 +475,14 @@ auditOverlayAliasing(const OverlayClone &overlay, Operation *base)
     });
 
     // The published value map must land inside the overlay tree.
-    for (const auto &[base_v, overlay_v] : overlay.map) {
-        (void)base_v;
-        if (overlay_v && !overlay_values.count(overlay_v)) {
-            errors.push_back({VerifyKind::OverlayBaseAlias,
-                              opPath(overlay.op.get()),
-                              "value map target lies outside the overlay"});
-            break;
-        }
-    }
+    bool map_escapes = false;
+    overlay.map.forEach([&](Value *, Value *overlay_v) {
+        map_escapes |= overlay_v && !overlay_values.count(overlay_v);
+    });
+    if (map_escapes)
+        errors.push_back({VerifyKind::OverlayBaseAlias,
+                          opPath(overlay.op.get()),
+                          "value map target lies outside the overlay"});
     for (const auto &[base_child, overlay_child] : overlay.children) {
         (void)base_child;
         if (overlay_child && !overlay_ops.count(overlay_child)) {

@@ -23,18 +23,17 @@ applyFuncInline(Operation *module, Operation *call)
 
     // Clone the callee body at the call site, mapping arguments to the
     // call operands; the trailing func.return supplies result values.
-    std::unordered_map<Value *, Value *> mapping;
+    IRMapping mapping(call->numOperands());
     for (unsigned i = 0; i < call->numOperands(); ++i)
-        mapping[callee_body->argument(i)] = call->operand(i);
+        mapping.map(callee_body->argument(i), call->operand(i));
 
     Block *dest = call->parentBlock();
     std::vector<Value *> results;
     for (auto &op : callee_body->ops()) {
         if (op->is(ops::Return)) {
             for (Value *operand : op->operands()) {
-                auto it = mapping.find(operand);
-                results.push_back(it == mapping.end() ? operand
-                                                      : it->second);
+                Value *mapped = mapping.lookupOrNull(operand);
+                results.push_back(mapped ? mapped : operand);
             }
             break; // The return is the terminator.
         }

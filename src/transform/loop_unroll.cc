@@ -51,7 +51,9 @@ bool
 fullyUnroll(AffineForOp loop, int64_t trip)
 {
     Operation *loop_op = loop.op();
-    if (trip * countNestedOps(loop_op) > kMaxUnrolledOps)
+    // Divide instead of multiplying: trip * count overflows int64 for
+    // huge trip counts and would slip past the guard.
+    if (trip > kMaxUnrolledOps / countNestedOps(loop_op))
         return false;
 
     AffineMap lb_map = loop.lowerBoundMap();
@@ -62,11 +64,12 @@ fullyUnroll(AffineForOp loop, int64_t trip)
     Value *iv = loop.inductionVar();
 
     Block *parent = loop_op->parentBlock();
+    // One mapping for all iterations: each iteration re-maps every body
+    // value before its first use, so intra-body def-use chains remap to
+    // that iteration's fresh clones.
+    IRMapping mapping;
     for (int64_t k = 0; k < trip; ++k) {
         AffineExpr repl = lb_map.result(0) + k * step;
-        // One mapping per iteration so intra-body def-use chains remap to
-        // the freshly cloned defs.
-        std::unordered_map<Value *, Value *> mapping;
         for (Operation *body_op : loop.body()->opsVector()) {
             Operation *cloned =
                 parent->insertBefore(loop_op, body_op->clone(mapping));
@@ -108,7 +111,7 @@ applyLoopUnroll(Operation *loop_op, int64_t factor)
     factor = divisor;
     if (factor <= 1)
         return false;
-    if (factor * countNestedOps(loop_op) > kMaxUnrolledOps)
+    if (factor > kMaxUnrolledOps / countNestedOps(loop_op))
         return false;
 
     int64_t step = loop.step();
@@ -117,9 +120,9 @@ applyLoopUnroll(Operation *loop_op, int64_t factor)
     auto body_ops = body->opsVector();
     loop.setStep(step * factor);
 
+    IRMapping mapping;
     for (int64_t k = 1; k < factor; ++k) {
         AffineExpr repl = getAffineDimExpr(0) + k * step;
-        std::unordered_map<Value *, Value *> mapping;
         for (Operation *body_op : body_ops) {
             Operation *cloned = body->pushBack(body_op->clone(mapping));
             OpBuilder materialize(body, cloned);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "analysis/buffer_analysis.h"
 #include "analysis/memory_analysis.h"
 #include "frontend/irgen.h"
@@ -159,6 +161,82 @@ TEST(MemoryAnalysis, TrivialPlanHasNoLayout)
     plan.factors = {1};
     EXPECT_TRUE(plan.isTrivial());
     EXPECT_TRUE(buildPartitionMap(plan, {8}).empty());
+}
+
+/** The pairwise definition markPartitionRelevantDims must reproduce. */
+void
+pairwiseRelevantDims(const std::vector<MemAccess> &group,
+                     std::vector<bool> &mask)
+{
+    const size_t rank = mask.size();
+    for (size_t i = 0; i < group.size(); ++i) {
+        const MemAccess &a = group[i];
+        if (!a.normalized || a.indices.size() != rank)
+            continue;
+        for (size_t j = i + 1; j < group.size(); ++j) {
+            const MemAccess &b = group[j];
+            if (!b.normalized || b.indices.size() != rank)
+                continue;
+            for (unsigned d = 0; d < rank; ++d) {
+                auto diff = constantDiff(a.indices[d], b.indices[d]);
+                if (diff && *diff != 0)
+                    mask[d] = true;
+            }
+        }
+    }
+}
+
+TEST(MemoryAnalysis, BucketedRelevanceMatchesPairwiseConstantDiff)
+{
+    // Seeded random access groups mixing linear subscripts (few
+    // coefficients and constants, so buckets collide), non-linear ones
+    // (mod, floordiv, symbols), non-normalized accesses and accesses
+    // whose subscript count mismatches the rank.
+    std::mt19937 rng(20221017);
+    auto pick = [&](int n) {
+        return static_cast<int>(rng() % static_cast<unsigned>(n));
+    };
+    auto subscript = [&]() {
+        AffineExpr linear = getAffineConstantExpr(pick(3));
+        for (unsigned dim = 0; dim < 2; ++dim)
+            linear = linear + getAffineDimExpr(dim) * pick(3);
+        switch (pick(6)) {
+          case 0:
+            return affineMod(linear, 4);
+          case 1:
+            return affineFloorDiv(linear, 2);
+          case 2:
+            return linear + getAffineSymbolExpr(0);
+          default:
+            return linear;
+        }
+    };
+    size_t relevant_bits = 0, irrelevant_bits = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        const unsigned rank = 1 + pick(3);
+        std::vector<MemAccess> group(pick(12));
+        for (MemAccess &access : group) {
+            access.normalized = pick(5) != 0;
+            unsigned count = rank;
+            if (pick(8) == 0)
+                count = pick(2) ? rank + 1 : rank - 1;
+            for (unsigned d = 0; d < count; ++d)
+                access.indices.push_back(subscript());
+        }
+        std::vector<bool> seed(rank);
+        for (unsigned d = 0; d < rank; ++d)
+            seed[d] = pick(6) == 0;
+        std::vector<bool> expected = seed;
+        pairwiseRelevantDims(group, expected);
+        std::vector<bool> mask = seed;
+        markPartitionRelevantDims(group, mask);
+        ASSERT_EQ(mask, expected) << "trial " << trial;
+        for (bool bit : mask)
+            ++(bit ? relevant_bits : irrelevant_bits);
+    }
+    // Both verdicts occur often, so the comparison is not vacuous.
+    EXPECT_GT(relevant_bits, 500u);
+    EXPECT_GT(irrelevant_bits, 500u);
 }
 
 TEST(MemoryAnalysis, RecurrenceDetection)

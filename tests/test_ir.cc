@@ -140,9 +140,8 @@ TEST(IR, CloneDeep)
 
 TEST(IR, CloneRemapNestedRegionsAndMultiResult)
 {
-    // The fast clone path (pre-sized open-addressed remap table) must
-    // remap operands across nested regions and through multi-result ops
-    // exactly like the old per-node-map clone did.
+    // The clone mapping must remap operands across nested regions and
+    // through multi-result ops.
     SimpleFunc f;
     Block *body = funcBody(f.func);
     OpBuilder b(body, body->back());
@@ -162,16 +161,16 @@ TEST(IR, CloneRemapNestedRegionsAndMultiResult)
                       AffineMap::identity(1),
                       {inner_loop.inductionVar()});
 
-    std::unordered_map<Value *, Value *> mapping;
+    IRMapping mapping;
     auto cloned = f.func->clone(mapping);
 
     // Every value of the tree is recorded, results and block args alike.
     EXPECT_EQ(mapping.size(), f.func->countValues());
-    for (const auto &[from, to] : mapping) {
+    mapping.forEach([](Value *from, Value *to) {
         EXPECT_NE(from, to);
         EXPECT_EQ(from->type(), to->type());
         EXPECT_EQ(from->index(), to->index());
-    }
+    });
 
     // The cloned load/add reference the CLONED multi-result op, slot by
     // slot, and the cloned store uses the cloned inner loop's IV.
@@ -206,15 +205,81 @@ TEST(IR, ClonePrepopulatedMappingRedirectsExternals)
     OpBuilder inner(loop.body());
     createMemLoad(inner, f.arg, {c0->result(0)});
 
-    std::unordered_map<Value *, Value *> mapping;
-    mapping[c0->result(0)] = c1->result(0);
+    IRMapping mapping;
+    mapping.map(c0->result(0), c1->result(0));
     auto cloned_loop = loop.op()->clone(mapping);
     Operation *cloned_load =
         cloned_loop->collect(ops::MemLoad).front();
     EXPECT_EQ(cloned_load->operand(1), c1->result(0));
     // Pre-seeded entries survive alongside the new ones.
-    EXPECT_EQ(mapping.at(c0->result(0)), c1->result(0));
+    EXPECT_EQ(mapping.lookup(c0->result(0)), c1->result(0));
     EXPECT_EQ(mapping.size(), 1 + cloned_loop->countValues());
+    // An unmapped external (the function argument) falls back to itself.
+    EXPECT_EQ(mapping.lookupOrNull(f.arg), nullptr);
+    EXPECT_EQ(cloned_load->operand(0), f.arg);
+}
+
+TEST(IR, SuccessiveClonesIntoOneMappingAccumulate)
+{
+    // Op-by-op cloning into one block (unrolling, inlining, overlays)
+    // shares one mapping: a later clone resolves its operands to the
+    // earlier clones, and the mapping holds every cloned value once.
+    SimpleFunc f;
+    Block *body = funcBody(f.func);
+    OpBuilder b(body, body->back());
+    Operation *c0 = createConstantIndex(b, 0);
+    Operation *load = createMemLoad(b, f.arg, {c0->result(0)});
+    AffineForOp loop = createAffineFor(b, 0, 4);
+    OpBuilder inner(loop.body());
+    createMemStore(inner, load->result(0), f.arg, {c0->result(0)});
+
+    IRMapping mapping;
+    size_t cloned_values = 0;
+    std::vector<Operation *> clones;
+    for (Operation *op : {c0, load, loop.op()}) {
+        clones.push_back(
+            body->insertBefore(body->back(), op->clone(mapping)));
+        cloned_values += op->countValues();
+        EXPECT_EQ(mapping.size(), cloned_values);
+    }
+    Operation *new_c0 = clones[0];
+    Operation *new_load = clones[1];
+    EXPECT_EQ(new_load->operand(1), new_c0->result(0));
+    Operation *new_store = clones[2]->collect(ops::MemStore).front();
+    EXPECT_EQ(new_store->operand(0), new_load->result(0));
+    EXPECT_EQ(new_store->operand(2), new_c0->result(0));
+    EXPECT_EQ(mapping.lookup(load->result(0)), new_load->result(0));
+
+    // Cloning the same ops again overwrites their entries in place: the
+    // size stays put and lookups name the newest clones.
+    auto again = c0->clone(mapping);
+    EXPECT_EQ(mapping.size(), cloned_values);
+    EXPECT_EQ(mapping.lookup(c0->result(0)), again->result(0));
+    EXPECT_TRUE(verifyOk(f.module.get()));
+}
+
+TEST(IR, IRMappingGrowsPastItsReservation)
+{
+    // Entries survive every rehash, and overwrites never add entries.
+    SimpleFunc f;
+    Block *body = funcBody(f.func);
+    OpBuilder b(body, body->back());
+    std::vector<Value *> values;
+    for (int i = 0; i < 100; ++i)
+        values.push_back(createConstantIndex(b, i)->result(0));
+    IRMapping mapping(2);
+    for (size_t i = 0; i < values.size(); ++i)
+        mapping.map(values[i], values[(i + 1) % values.size()]);
+    for (size_t i = 0; i < values.size(); i += 2)
+        mapping.map(values[i], values[i]);
+    EXPECT_EQ(mapping.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i)
+        EXPECT_EQ(mapping.lookup(values[i]),
+                  i % 2 ? values[(i + 1) % values.size()] : values[i]);
+    size_t visited = 0;
+    mapping.forEach([&](Value *, Value *) { ++visited; });
+    EXPECT_EQ(visited, values.size());
+    EXPECT_EQ(mapping.lookupOrNull(f.arg), nullptr);
 }
 
 TEST(IR, IsAncestorOf)

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "frontend/irgen.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -286,6 +288,25 @@ TEST(Unroll, ClampsToDivisor)
     auto band = getLoopBands(func)[0];
     ASSERT_TRUE(applyLoopUnroll(band[0], 5)); // -> factor 4.
     EXPECT_EQ(func->collect(ops::AffineStore).size(), 4u);
+}
+
+TEST(Unroll, HugeTripCountIsRejectedWithoutOverflow)
+{
+    // trip * body-size wraps int64 for this trip count (5x it is 2^64 - 1,
+    // i.e. -1), which once slipped past the unroll size guard and
+    // unrolled until allocation failed. The guard must refuse it and
+    // leave the IR untouched.
+    auto module = affineModule("void k(float A[4]) {\n"
+                               "  for (int i = 0; i < 3689348814741910323;"
+                               " i++)\n"
+                               "    A[0] = A[1] + 1.0;\n"
+                               "}");
+    Operation *func = getTopFunc(module.get());
+    auto band = getLoopBands(func)[0];
+    std::string before = printOp(module.get());
+    EXPECT_FALSE(applyLoopUnroll(band[0],
+                                 std::numeric_limits<int64_t>::max()));
+    EXPECT_EQ(printOp(module.get()), before);
 }
 
 } // namespace

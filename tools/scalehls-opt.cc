@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "api/explore_request.h"
@@ -61,14 +62,33 @@ usage()
         << exploreFlagUsage();
 }
 
-std::vector<int64_t>
+/** Strict int64 parse: an optional sign then digits, in range. */
+std::optional<int64_t>
+parseInt(const std::string &text)
+{
+    size_t sign = !text.empty() && (text[0] == '-' || text[0] == '+');
+    if (text.size() == sign ||
+        text.find_first_not_of("0123456789", sign) != std::string::npos)
+        return std::nullopt;
+    try {
+        return std::stoll(text);
+    } catch (const std::out_of_range &) {
+        return std::nullopt;
+    }
+}
+
+std::optional<std::vector<int64_t>>
 parseIntList(const std::string &text)
 {
     std::vector<int64_t> values;
     std::istringstream is(text);
     std::string token;
-    while (std::getline(is, token, ','))
-        values.push_back(std::stoll(token));
+    while (std::getline(is, token, ',')) {
+        auto value = parseInt(token);
+        if (!value)
+            return std::nullopt;
+        values.push_back(*value);
+    }
     return values;
 }
 
@@ -106,6 +126,11 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         std::string value = value_of(arg);
         std::string name = arg.substr(0, arg.find('='));
+        auto bad_int = [&] {
+            std::cerr << name << " expects an integer, got '" << value
+                      << "'\n";
+            return 1;
+        };
         if (arg == "-h" || arg == "--help") {
             usage();
             return 0;
@@ -139,18 +164,27 @@ main(int argc, char **argv)
         } else if (name == "-affine-loop-order-opt") {
             pm.addPass(createLoopOrderOptPass());
         } else if (name == "-affine-loop-tile") {
-            pm.addPass(createLoopTilePass(parseIntList(value)));
+            auto sizes = parseIntList(value);
+            if (!sizes)
+                return bad_int();
+            pm.addPass(createLoopTilePass(*sizes));
         } else if (name == "-affine-loop-unroll") {
-            pm.addPass(createLoopUnrollPass(
-                value.empty() ? 2 : std::stoll(value)));
+            auto factor = value.empty() ? 2 : parseInt(value);
+            if (!factor)
+                return bad_int();
+            pm.addPass(createLoopUnrollPass(*factor));
         } else if (name == "-affine-loop-merge") {
             pm.addPass(createLoopMergePass());
         } else if (name == "-loop-pipelining") {
-            pm.addPass(createLoopPipeliningPass(
-                value.empty() ? 1 : std::stoll(value)));
+            auto ii = value.empty() ? 1 : parseInt(value);
+            if (!ii)
+                return bad_int();
+            pm.addPass(createLoopPipeliningPass(*ii));
         } else if (name == "-func-pipelining") {
-            pm.addPass(createFuncPipeliningPass(
-                value.empty() ? 1 : std::stoll(value)));
+            auto ii = value.empty() ? 1 : parseInt(value);
+            if (!ii)
+                return bad_int();
+            pm.addPass(createFuncPipeliningPass(*ii));
         } else if (name == "-array-partition") {
             pm.addPass(createArrayPartitionPass());
         } else if (name == "-func-inline") {
