@@ -21,7 +21,7 @@ struct RunResult
 {
     unsigned threads = 1;
     size_t evaluations = 0;
-    size_t materializations = 0;
+    size_t fullMaterializations = 0;
     double seconds = 0;
     std::vector<EvaluatedPoint> frontier;
 };
@@ -48,7 +48,7 @@ runAtThreads(Operation *module, unsigned threads)
                          std::chrono::steady_clock::now() - start)
                          .count();
     result.evaluations = engine.numEvaluations();
-    result.materializations = engine.stats().materializations;
+    result.fullMaterializations = engine.numFullMaterializations();
     result.frontier = std::move(frontier);
     return result;
 }
@@ -80,7 +80,7 @@ main()
                 "threads) ===\n\n",
                 hw);
     std::printf("%-10s %-12s %-14s %-12s %-12s %s\n", "Threads",
-                "Evaluations", "Materialized", "Seconds", "Points/s",
+                "Evaluations", "Full mat.", "Seconds", "Points/s",
                 "Deterministic");
 
     std::vector<unsigned> configs = {1, 2, 4};
@@ -100,7 +100,7 @@ main()
         }
         double rate = r.evaluations / r.seconds;
         std::printf("%-10u %-12zu %-14zu %-12.3f %-12.1f %s\n", threads,
-                    r.evaluations, r.materializations, r.seconds, rate,
+                    r.evaluations, r.fullMaterializations, r.seconds, rate,
                     deterministic ? "yes" : "NO (BUG)");
         std::printf("JSON {\"bench\":\"parallel_dse\",\"threads\":%u,"
                     "\"evaluations\":%zu,\"seconds\":%.4f,"

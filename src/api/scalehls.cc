@@ -45,12 +45,10 @@ struct KernelExploration
 /** The per-kernel stage shared by optimizeFunctions and optimizeModel:
  * explore every function of @p kernels concurrently, each on its own
  * reduced clone of @p module (never mutated). Every kernel and its
- * engine's batches share @p pool, which must outlive the engines. Module
- * retention is scoped to @p retain_budget. Results come back in
- * @p kernels order. */
+ * engine's batches share @p pool, which must outlive the engines.
+ * Results come back in @p kernels order. */
 std::vector<KernelExploration>
 exploreKernels(Operation *module, const std::vector<Operation *> &kernels,
-               const ResourceBudget &retain_budget,
                const DesignSpaceOptions &space_options,
                const DSEOptions &options, ThreadPool &pool)
 {
@@ -60,7 +58,6 @@ exploreKernels(Operation *module, const std::vector<Operation *> &kernels,
         e.sub = buildReducedClone(module, kernels[k]);
         e.space = std::make_unique<DesignSpace>(e.sub.get(), space_options);
         e.engine = std::make_unique<DSEEngine>(*e.space, options, &pool);
-        e.engine->setFinalizeBudget(retain_budget);
         e.frontier = e.engine->explore();
         e.retained = retainFrontier(*e.space, e.frontier);
     });
@@ -273,7 +270,7 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
     ThreadPool pool(request.dse.numThreads);
     EstimateCache local_estimates;
     std::vector<KernelExploration> explorations = exploreKernels(
-        module_.get(), kernels, share, request.space,
+        module_.get(), kernels, request.space,
         withSharedCache(request.dse, local_estimates), pool);
 
     // Finalize and splice the winners back sequentially, in module
@@ -371,9 +368,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
     glue = std::max<int64_t>(0, glue);
 
     // The per-kernel stage (shared with optimizeFunctions): explore
-    // every kernel stage concurrently, retaining full frontiers. Module
-    // retention is scoped to the WHOLE device budget — under global
-    // allocation any design fitting the device could be chosen.
+    // every kernel stage concurrently, retaining full frontiers.
     std::vector<size_t> kernel_of_stage(n, kNoIndex);
     std::vector<Operation *> kernel_funcs;
     std::vector<size_t> stage_of_kernel;
@@ -385,7 +380,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
         stage_of_kernel.push_back(i);
     }
     std::vector<KernelExploration> explorations = exploreKernels(
-        module_.get(), kernel_funcs, budget, space_options, inner, pool);
+        module_.get(), kernel_funcs, space_options, inner, pool);
 
     // Stage frontiers as seen from the top: candidate latencies carry
     // the +1 call overhead; fixed (non-kernel) stages get exactly their

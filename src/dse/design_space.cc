@@ -56,10 +56,8 @@ DesignSpace::DesignSpace(Operation *module, DesignSpaceOptions options)
                 getTripCount(AffineForOp(loop)).value_or(1));
         space.permutations = allPermutations(band.size());
         for (int64_t trip : space.tripCounts) {
-            std::vector<int64_t> tiles;
-            for (int64_t d : divisorsOf(trip))
-                if (d <= options_.maxTileSize)
-                    tiles.push_back(d);
+            std::vector<int64_t> tiles =
+                divisorsUpTo(trip, options_.maxTileSize);
             if (tiles.empty())
                 tiles.push_back(1);
             space.tileCandidates.push_back(std::move(tiles));

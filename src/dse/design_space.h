@@ -36,7 +36,7 @@ struct DesignSpaceOptions
  * randomPoint, canonicalSeedPoints, ...) is re-entrant — materialization
  * clones the pristine module per call and mutates only the clone — so
  * concurrent evaluation of distinct points through a shared DesignSpace
- * is safe. QoR evaluation/memoization lives in dse/evaluator.h. */
+ * is safe. QoR evaluation lives in dse/evaluator.h. */
 class DesignSpace
 {
   public:

@@ -36,12 +36,7 @@ DSEEngine::explore()
     evaluator_options.partitionAwareKeys =
         options_.partitionAwareBandKeys;
     evaluator_options.audit = options_.auditMode;
-    evaluator_ = std::make_unique<CachingEvaluator>(
-        space_, pool_, estimates, evaluator_options);
-    // Keep the winning module so finalization does not re-materialize
-    // the point it just evaluated.
-    evaluator_->retainBestModule(finalize_budget_);
-    CachingEvaluator &evaluator = *evaluator_;
+    CachingEvaluator evaluator(space_, pool_, estimates, evaluator_options);
     SearchContext ctx(space_, evaluator, evaluated_, options_.batchSize);
 
     // Step 1: initial sampling, evaluated as one parallel batch. The
@@ -58,7 +53,7 @@ DSEEngine::explore()
         ->run(ctx, rng, options_.maxIterations);
 
     stats_ = evaluator.stats();
-    stats_.evaluations = evaluated_.size();
+    assert(stats_.evaluations == evaluated_.size());
 
     // Return the frontier sorted by latency. frontierIndices is already
     // ascending (latency, area, index); stable_sort keeps tie groups in
@@ -112,15 +107,8 @@ DSEEngine::finalize(const std::vector<EvaluatedPoint> &frontier,
 std::unique_ptr<Operation>
 DSEEngine::materializeEvaluated(const EvaluatedPoint &chosen)
 {
-    module_reused_ = false;
     qor_verified_ = false;
-    std::unique_ptr<Operation> module;
-    if (evaluator_)
-        module = evaluator_->takeRetainedModule(chosen.point);
-    if (module)
-        module_reused_ = true;
-    else
-        module = space_.materialize(chosen.point);
+    std::unique_ptr<Operation> module = space_.materialize(chosen.point);
     if (!module)
         return nullptr;
 
@@ -128,7 +116,7 @@ DSEEngine::materializeEvaluated(const EvaluatedPoint &chosen)
     // function-tier hit makes this a digest + lookup, not a walk) and
     // check the module really carries the QoR the frontier promised —
     // this also end-to-end-verifies any plan-first composition that fed
-    // the chosen point's cached result.
+    // the chosen point's recorded result.
     QoREstimator estimator(module.get(), pool_, estimates_in_use_,
                            options_.bandLevelCache,
                            options_.partitionAwareBandKeys);
@@ -139,11 +127,11 @@ DSEEngine::materializeEvaluated(const EvaluatedPoint &chosen)
     }
     qor_verified_ = check == chosen.qor;
     // On divergence the re-estimated QoR is the one consistent with the
-    // module being returned; callers (runDSE) adopt it over the cached
+    // module being returned; callers (runDSE) adopt it over the recorded
     // value so result.module and result.qor can never disagree.
     verified_qor_ = check;
     assert(qor_verified_ &&
-           "materialized module diverged from the cached QoR");
+           "materialized module diverged from the recorded QoR");
     return module;
 }
 
@@ -154,7 +142,6 @@ runDSE(Operation *module, const ResourceBudget &budget,
     auto start = std::chrono::steady_clock::now();
     DesignSpace space(module, space_options);
     DSEEngine engine(space, options);
-    engine.setFinalizeBudget(budget);
     auto frontier = engine.explore();
     auto chosen = DSEEngine::finalize(frontier, budget);
     if (!chosen)
@@ -171,7 +158,6 @@ runDSE(Operation *module, const ResourceBudget &budget,
         result.qor = engine.verifiedQoR();
     }
     result.stats = engine.stats();
-    result.moduleReused = engine.moduleReused();
     result.qorVerified = engine.qorVerified();
     result.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)

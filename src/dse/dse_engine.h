@@ -110,30 +110,22 @@ class DSEEngine
         const std::vector<EvaluatedPoint> &frontier,
         const ResourceBudget &budget);
 
-    /** Scope module retention during explore() to designs fitting
-     * @p budget (the finalize criterion); call before explore(). Without
-     * it the evaluator retains the best feasible module regardless of
-     * budget. */
-    void setFinalizeBudget(const ResourceBudget &budget)
-    {
-        finalize_budget_ = budget;
-    }
+    /** No-op: exploration retains no module, so there is no retention
+     * budget to scope. Kept only because the frozen e2ebench harness
+     * still calls it. */
+    void setFinalizeBudget(const ResourceBudget &) {}
 
-    /** The materialized module of an explore()-evaluated point: reuses
-     * the module retained during exploration when it is exactly this
-     * point (no re-materialization), re-materializing otherwise (fast
-     * path composition never builds modules; retention keeps one). The
-     * module is then re-estimated against the warm estimate cache and
-     * its QoR asserted equal to the cached result — qorVerified()
-     * reports the outcome. */
+    /** The materialized module of an explore()-evaluated point, always
+     * built afresh (plan-first composition builds no module during
+     * exploration). The module is then re-estimated against the warm
+     * estimate cache and its QoR asserted equal to the recorded result
+     * — qorVerified() reports the outcome. */
     std::unique_ptr<Operation> materializeEvaluated(
         const EvaluatedPoint &chosen);
-    /** True when materializeEvaluated reused the retained module. */
-    bool moduleReused() const { return module_reused_; }
-    /** True when the re-estimated module matched the cached QoR. */
+    /** True when the re-estimated module matched the recorded QoR. */
     bool qorVerified() const { return qor_verified_; }
     /** The re-estimated QoR of the last materializeEvaluated module —
-     * equal to the cached result when qorVerified(); on divergence it
+     * equal to the recorded result when qorVerified(); on divergence it
      * is the value consistent with the returned module. */
     const QoRResult &verifiedQoR() const { return verified_qor_; }
 
@@ -142,8 +134,8 @@ class DSEEngine
     {
         return evaluated_;
     }
-    /** Counters of the last explore(): the evaluator's own, plus
-     * `evaluations` = evaluated().size(). */
+    /** Counters of the last explore(), as the evaluator counted them
+     * (`evaluations` == evaluated().size()). */
     const DSEStats &stats() const { return stats_; }
     /** Shorthand reads of stats() (the e2ebench harness uses them). */
     size_t numEvaluations() const { return stats_.evaluations; }
@@ -163,18 +155,14 @@ class DSEEngine
     DSEOptions options_;
     std::vector<EvaluatedPoint> evaluated_;
     DSEStats stats_;
-    std::optional<ResourceBudget> finalize_budget_;
-    bool module_reused_ = false;
     bool qor_verified_ = false;
     QoRResult verified_qor_;
     /** Exploration state kept alive across explore() so
-     * materializeEvaluated can reuse the retained module and the warm
-     * caches. */
+     * materializeEvaluated can re-estimate against the warm caches. */
     ThreadPool *pool_;
     std::unique_ptr<ThreadPool> owned_pool_;
     std::unique_ptr<EstimateCache> local_estimates_;
     EstimateCache *estimates_in_use_ = nullptr;
-    std::unique_ptr<CachingEvaluator> evaluator_;
 };
 
 /** One retained Pareto-frontier design: the encoded point, its decoded
@@ -209,10 +197,7 @@ struct DSEResult
      * budget or compose whole-model designs. */
     std::vector<FrontierPoint> frontier;
     DSEStats stats;
-    /** True when the finalized module was the one retained during
-     * exploration (no re-materialization). */
-    bool moduleReused = false;
-    /** True when the finalized module re-estimated to the cached QoR. */
+    /** True when the finalized module re-estimated to the recorded QoR. */
     bool qorVerified = false;
     double seconds = 0;
 };

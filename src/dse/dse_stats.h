@@ -15,11 +15,10 @@
 namespace scalehls {
 
 /** Every counter, as (member, JSON key):
- * - evaluations: points the search evaluated (set by DSEEngine; an
- *   evaluator on its own leaves it 0);
- * - memo: materializations (memo misses), cache_hits (memo hits),
- *   batch_dedups (duplicate in-batch slots served by a sibling);
- * - how each memo miss was answered, exactly one of:
+ * - evaluations: points evaluated (counted by the evaluator; a DSE
+ *   search evaluates each proposed point once, so for an exploration it
+ *   equals DSEEngine::evaluated().size());
+ * - how each evaluation was answered, exactly one of:
  *   full_materializations (the full pipeline), overlay_materializations
  *   (plan-first, only the schedule-tier misses among the bands were
  *   built), plan_composed (plan-first, composed from the schedule tier
@@ -32,9 +31,6 @@ namespace scalehls {
  *   pipeline). */
 #define SCALEHLS_DSE_STATS_COUNTERS(X)                                       \
     X(evaluations, "evaluations")                                            \
-    X(materializations, "materializations")                                  \
-    X(cacheHits, "cache_hits")                                               \
-    X(batchDedups, "batch_dedups")                                           \
     X(fullMaterializations, "full_materializations")                         \
     X(overlayMaterializations, "overlay_materializations")                   \
     X(planInfeasible, "plan_infeasible")                                     \

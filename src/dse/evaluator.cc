@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <unordered_map>
 
 #include "dse/pareto.h"
 
@@ -29,11 +28,10 @@ CachingEvaluator::recordAuditFindings(
 }
 
 QoRResult
-CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
-                                DSEStats &stats,
-                                std::unique_ptr<Operation> *module_out)
+CachingEvaluator::evaluatePoint(const DesignSpace::Point &point,
+                                DSEStats &stats)
 {
-    ++stats.materializations;
+    ++stats.evaluations;
 
     QoRResult result;
     auto finalize = [&](QoRResult qor) {
@@ -87,98 +85,32 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
     QoREstimator estimator(module.get(), pool_, estimates_,
                            options_.bandCache,
                            options_.partitionAwareKeys);
-    result = finalize(estimator.estimateModule());
-    if (module_out)
-        *module_out = std::move(module);
-    return result;
-}
-
-void
-CachingEvaluator::maybeRetain(const DesignSpace::Point &point,
-                              const QoRResult &qor,
-                              std::unique_ptr<Operation> module)
-{
-    if (!retention_enabled_ || !module || !qor.feasible)
-        return;
-    if (retention_budget_ && !qor.fits(*retention_budget_))
-        return;
-    // Strictly-better latency wins; ties keep the earlier (batch input
-    // order) point, so the retained point is thread-count independent.
-    if (retained_module_ && retained_qor_.latency <= qor.latency)
-        return;
-    retained_module_ = std::move(module);
-    retained_point_ = point;
-    retained_qor_ = qor;
-}
-
-std::unique_ptr<Operation>
-CachingEvaluator::takeRetainedModule(const DesignSpace::Point &point)
-{
-    if (!retained_module_ || retained_point_ != point)
-        return nullptr;
-    return std::move(retained_module_);
+    return finalize(estimator.estimateModule());
 }
 
 QoRResult
 CachingEvaluator::evaluate(const DesignSpace::Point &point)
 {
-    return evaluateBatch({point}).front();
+    return evaluatePoint(point, stats_);
 }
 
 std::vector<QoRResult>
 CachingEvaluator::evaluateBatch(const std::vector<DesignSpace::Point> &points)
 {
     std::vector<QoRResult> results(points.size());
-
-    // Resolve cache hits up front and dedup duplicate misses: identical
-    // points in one batch materialize ONCE (the first slot computes,
-    // later slots copy its result), so callers that cannot pre-dedup —
-    // e.g. annealing chains re-proposing a neighbor — do not pay a
-    // redundant materialization per duplicate slot.
-    std::vector<size_t> misses;
-    std::unordered_map<DesignSpace::Point, size_t, OrdinalVectorHash>
-        first_miss;
-    std::vector<std::pair<size_t, size_t>> duplicates; // (slot, miss idx)
-    for (size_t i = 0; i < points.size(); ++i) {
-        if (auto cached = cache_.lookup(points[i])) {
-            ++stats_.cacheHits;
-            results[i] = *cached;
-            continue;
-        }
-        auto [it, inserted] =
-            first_miss.try_emplace(points[i], misses.size());
-        if (inserted) {
-            misses.push_back(i);
-        } else {
-            duplicates.push_back({i, it->second});
-            ++stats_.batchDedups;
-        }
-    }
-
-    std::vector<std::unique_ptr<Operation>> modules(misses.size());
-    std::vector<DSEStats> miss_stats(misses.size());
-    auto evaluate_miss = [&](size_t mi) {
-        size_t i = misses[mi];
-        results[i] = evaluateFresh(
-            points[i], miss_stats[mi],
-            retention_enabled_ ? &modules[mi] : nullptr);
+    std::vector<DSEStats> slot_stats(points.size());
+    auto evaluate_slot = [&](size_t i) {
+        results[i] = evaluatePoint(points[i], slot_stats[i]);
     };
-    if (pool_ && pool_->size() > 1 && misses.size() > 1)
-        pool_->parallelFor(misses.size(), evaluate_miss);
+    if (pool_ && pool_->size() > 1 && points.size() > 1)
+        pool_->parallelFor(points.size(), evaluate_slot);
     else
-        for (size_t mi = 0; mi < misses.size(); ++mi)
-            evaluate_miss(mi);
+        for (size_t i = 0; i < points.size(); ++i)
+            evaluate_slot(i);
 
-    // Sequential merge in input order: retention decisions, cache
-    // publication and counters stay deterministic at any thread count.
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-        size_t i = misses[mi];
-        stats_ += miss_stats[mi];
-        maybeRetain(points[i], results[i], std::move(modules[mi]));
-        cache_.insert(points[i], results[i]);
-    }
-    for (auto [slot, mi] : duplicates)
-        results[slot] = results[misses[mi]];
+    // Each slot counted into its own record; merge them after the fan-out.
+    for (const DSEStats &stats : slot_stats)
+        stats_ += stats;
     return results;
 }
 

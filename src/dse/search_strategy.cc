@@ -1,5 +1,6 @@
 #include "dse/search_strategy.h"
 
+#include <cassert>
 #include <cmath>
 
 namespace scalehls {
@@ -11,10 +12,19 @@ namespace scalehls {
 bool
 SearchContext::propose(const DesignSpace::Point &point)
 {
-    if (!seen_.insert(point).second)
+    size_t slot = evaluated_.size() + pending_.size();
+    if (!index_.try_emplace(point, slot).second)
         return false;
     pending_.push_back(point);
     return true;
+}
+
+const QoRResult &
+SearchContext::qorOf(const DesignSpace::Point &point) const
+{
+    size_t slot = index_.at(point);
+    assert(slot < evaluated_.size() && "qorOf a point still pending");
+    return evaluated_[slot].qor;
 }
 
 size_t

@@ -6,15 +6,17 @@
  * unevaluated points per round through a SearchContext; the context
  * evaluates each batch (possibly in parallel) and merges results back in
  * proposal order, so the search trajectory depends only on the RNG seed
- * and the batch size — never on the thread count.
+ * and the batch size — never on the thread count. The context is the
+ * exploration's only point memo: each point is evaluated once, however
+ * often it is proposed or its QoR read.
  */
 
 #ifndef SCALEHLS_DSE_SEARCH_STRATEGY_H
 #define SCALEHLS_DSE_SEARCH_STRATEGY_H
 
+#include <map>
 #include <memory>
 #include <random>
-#include <set>
 
 #include "dse/evaluator.h"
 #include "dse/pareto.h"
@@ -32,8 +34,9 @@ enum class DSEStrategy
 };
 
 /** The shared exploration state strategies operate on: the evaluated-point
- * record, the seen-set, and the pending proposal batch. Single-threaded by
- * contract — only flush() fans out, through the evaluator. */
+ * record, the index of every proposed point into it, and the pending
+ * proposal batch. Single-threaded by contract — only flush() fans out,
+ * through the evaluator. */
 class SearchContext
 {
   public:
@@ -55,7 +58,7 @@ class SearchContext
     /** True when the point was proposed (evaluated or pending). */
     bool isSeen(const DesignSpace::Point &point) const
     {
-        return seen_.count(point) != 0;
+        return index_.count(point) != 0;
     }
     /** Evaluate the pending batch (input order preserved) and append the
      * results to evaluated(). Returns the number of points evaluated. */
@@ -65,12 +68,9 @@ class SearchContext
     {
         return evaluated_;
     }
-    /** QoR of an already-proposed point (served from the evaluator's
-     * cache; a fresh evaluation otherwise). */
-    QoRResult qorOf(const DesignSpace::Point &point)
-    {
-        return evaluator_.evaluate(point);
-    }
+    /** The recorded QoR of an already-evaluated point (proposed and
+     * flushed); never calls the evaluator. */
+    const QoRResult &qorOf(const DesignSpace::Point &point) const;
 
     /** Pareto-optimal indices over evaluated() (infeasible points carry
      * the kInfeasibleQoR sentinel and never win). */
@@ -80,7 +80,9 @@ class SearchContext
     const DesignSpace &space_;
     CachingEvaluator &evaluator_;
     std::vector<EvaluatedPoint> &evaluated_;
-    std::set<DesignSpace::Point> seen_;
+    /** Every proposed point -> its index in evaluated_ (a pending point
+     * maps to the slot flush() will append it to). */
+    std::map<DesignSpace::Point, size_t> index_;
     std::vector<DesignSpace::Point> pending_;
     unsigned batch_size_;
 };

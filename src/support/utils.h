@@ -54,8 +54,9 @@ euclidMod(int64_t a, int64_t b)
     return r;
 }
 
-/** All positive divisors of n in ascending order. */
-std::vector<int64_t> divisorsOf(int64_t n);
+/** The positive divisors of n that are <= bound, in ascending order
+ * (empty for n <= 0). Runs in O(min(bound, sqrt(n))). */
+std::vector<int64_t> divisorsUpTo(int64_t n, int64_t bound);
 
 /** Round n up to the next power of two (n >= 1). */
 int64_t nextPow2(int64_t n);

@@ -42,11 +42,7 @@ applyLoopTiling(const std::vector<Operation *> &band,
             return {}; // Tiling a variable-bound dim needs RVB first.
         t = std::min<int64_t>(t, *trip);
         // Clamp to a divisor so no epilogue loops are required.
-        int64_t divisor = 1;
-        for (int64_t d : divisorsOf(*trip))
-            if (d <= t)
-                divisor = d;
-        sizes[i] = divisor;
+        sizes[i] = divisorsUpTo(*trip, t).back();
     }
 
     bool any_tiled = false;

@@ -104,11 +104,7 @@ applyLoopUnroll(Operation *loop_op, int64_t factor)
 
     // Clamp to the largest divisor of the trip count not exceeding factor,
     // so the unrolled loop needs no epilogue.
-    int64_t divisor = 1;
-    for (int64_t d : divisorsOf(trip))
-        if (d <= factor)
-            divisor = d;
-    factor = divisor;
+    factor = divisorsUpTo(trip, factor).back();
     if (factor <= 1)
         return false;
     if (factor > kMaxUnrolledOps / countNestedOps(loop_op))

@@ -8,8 +8,9 @@
 #include <fstream>
 
 #include "api/scalehls.h"
-#include "support/utils.h"
+#include "model/dnn_dse.h"
 #include "model/polybench.h"
+#include "support/utils.h"
 
 namespace scalehls {
 namespace {
@@ -203,6 +204,63 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EmitterGemmBehaviour,
                                            std::tuple{2, 1},
                                            std::tuple{4, 2},
                                            std::tuple{8, 1}));
+
+/** True when the host compiler accepts @p cpp (syntax and types only;
+ * the emitted code includes just <algorithm> and <cmath>). */
+bool
+hostCompilerAccepts(const std::string &cpp, const std::string &name)
+{
+    std::string src_path = ::testing::TempDir() + "/" + name + "_dse.cc";
+    {
+        std::ofstream os(src_path);
+        os << cpp;
+    }
+    std::string check =
+        "g++ -std=c++17 -fsyntax-only -Wno-unknown-pragmas " + src_path;
+    return std::system(check.c_str()) == 0;
+}
+
+TEST(Emitter, DSEWinnersCompile)
+{
+    // Every DSE winner is materialized afresh from its point; the code
+    // emitted for it must be valid C++ for every PolyBench kernel and a
+    // whole-model design.
+    if (std::system("which g++ > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "no host compiler available";
+
+    DesignSpaceOptions space_options;
+    space_options.maxTileSize = 8;
+    space_options.maxTotalUnroll = 32;
+    DSEOptions options;
+    options.numInitialSamples = 8;
+    options.maxIterations = 8;
+    options.numThreads = 2;
+    for (const char *kernel :
+         {"bicg", "gemm", "gesummv", "syr2k", "syrk", "trmm", "2mm", "3mm"}) {
+        auto module = parseCToModule(polybenchSource(kernel, 32));
+        raiseScfToAffine(module.get());
+        auto result =
+            runDSE(module.get(), xc7z020(), space_options, options);
+        ASSERT_TRUE(result.has_value()) << kernel;
+        ASSERT_NE(result->module, nullptr) << kernel;
+        EXPECT_TRUE(result->qorVerified) << kernel;
+        EXPECT_TRUE(
+            hostCompilerAccepts(emitHlsCpp(result->module.get()), kernel))
+            << "emitted C++ for the " << kernel << " winner does not compile";
+    }
+
+    Compiler compiler(buildLoweredDNN("resnet18", 2));
+    ExploreRequest request;
+    request.budgetSpec = "vu9p-slr";
+    request.space = space_options;
+    request.dse = options;
+    ASSERT_FALSE(request.validate());
+    auto model = compiler.optimizeModel(request);
+    ASSERT_TRUE(model.has_value());
+    EXPECT_TRUE(model->verified);
+    EXPECT_TRUE(hostCompilerAccepts(compiler.emitCpp(), "resnet18"))
+        << "emitted C++ for the resnet18 design does not compile";
+}
 
 } // namespace
 } // namespace scalehls

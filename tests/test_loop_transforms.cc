@@ -200,6 +200,25 @@ TEST(Tiling, ClampsToDivisors)
     EXPECT_TRUE(verifyOk(module.get()));
 }
 
+/** A loop whose trip count 0x3333333333333333 = 3 * 0x1111111111111111
+ * has no divisor in [4, sqrt(trip)] until 17: clamping a small factor
+ * must not scan its divisors up to sqrt(trip) ~ 1.9e9. */
+const char *kHugeTripLoop = "void k(float A[4]) {\n"
+                            "  for (int i = 0; i < 3689348814741910323;"
+                            " i++)\n"
+                            "    A[0] = A[1] + 1.0;\n"
+                            "}";
+
+TEST(Tiling, HugeTripCountClampsToSmallDivisor)
+{
+    auto module = affineModule(kHugeTripLoop);
+    auto band = getLoopBands(getTopFunc(module.get()))[0];
+    auto tiled = applyLoopTiling(band, {4}); // 4 -> divisor 3.
+    ASSERT_EQ(tiled.size(), 1u);
+    EXPECT_EQ(AffineForOp(tiled[0]).step(), 3);
+    EXPECT_TRUE(verifyOk(module.get()));
+}
+
 TEST(Tiling, RequiresPerfectNest)
 {
     auto module = affineModule(polybenchSource("gemm", 16));
@@ -290,17 +309,24 @@ TEST(Unroll, ClampsToDivisor)
     EXPECT_EQ(func->collect(ops::AffineStore).size(), 4u);
 }
 
+TEST(Unroll, HugeTripCountClampsToSmallDivisor)
+{
+    auto module = affineModule(kHugeTripLoop);
+    Operation *func = getTopFunc(module.get());
+    auto band = getLoopBands(func)[0];
+    ASSERT_TRUE(applyLoopUnroll(band[0], 4)); // -> factor 3.
+    EXPECT_EQ(AffineForOp(band[0]).step(), 3);
+    EXPECT_EQ(func->collect(ops::AffineStore).size(), 3u);
+    EXPECT_TRUE(verifyOk(module.get()));
+}
+
 TEST(Unroll, HugeTripCountIsRejectedWithoutOverflow)
 {
     // trip * body-size wraps int64 for this trip count (5x it is 2^64 - 1,
     // i.e. -1), which once slipped past the unroll size guard and
     // unrolled until allocation failed. The guard must refuse it and
     // leave the IR untouched.
-    auto module = affineModule("void k(float A[4]) {\n"
-                               "  for (int i = 0; i < 3689348814741910323;"
-                               " i++)\n"
-                               "    A[0] = A[1] + 1.0;\n"
-                               "}");
+    auto module = affineModule(kHugeTripLoop);
     Operation *func = getTopFunc(module.get());
     auto band = getLoopBands(func)[0];
     std::string before = printOp(module.get());

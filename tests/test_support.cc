@@ -38,11 +38,34 @@ TEST(Support, EuclidMod)
 
 TEST(Support, Divisors)
 {
-    EXPECT_EQ(divisorsOf(12), (std::vector<int64_t>{1, 2, 3, 4, 6, 12}));
-    EXPECT_EQ(divisorsOf(1), (std::vector<int64_t>{1}));
-    EXPECT_EQ(divisorsOf(16),
-              (std::vector<int64_t>{1, 2, 4, 8, 16}));
-    EXPECT_TRUE(divisorsOf(0).empty());
+    struct Row
+    {
+        int64_t n, bound;
+        std::vector<int64_t> divisors;
+    };
+    const Row table[] = {
+        {1, 1, {1}},
+        {16, 16, {1, 2, 4, 8, 16}},
+        {0, 8, {}},
+        {12, 12, {1, 2, 3, 4, 6, 12}},
+        {12, 5, {1, 2, 3, 4}},
+        {12, 6, {1, 2, 3, 4, 6}},
+        {12, 100, {1, 2, 3, 4, 6, 12}},
+        {36, 6, {1, 2, 3, 4, 6}},
+        {36, 9, {1, 2, 3, 4, 6, 9}},
+        {97, 96, {1}},
+        {97, 97, {1, 97}},
+        {4096, 64, {1, 2, 4, 8, 16, 32, 64}},
+        {8, 0, {}},
+        {-4, 4, {}},
+        // 0x3333333333333333 = 3 * 0x1111111111111111: the scan stops at
+        // the bound instead of walking to sqrt(n) ~ 1.9e9.
+        {3689348814741910323, 4, {1, 3}},
+        {3689348814741910323, 64, {1, 3, 17, 51}},
+    };
+    for (const Row &row : table)
+        EXPECT_EQ(divisorsUpTo(row.n, row.bound), row.divisors)
+            << row.n << " up to " << row.bound;
 }
 
 TEST(Support, NextPow2)
@@ -79,7 +102,7 @@ class DivisorProperty : public ::testing::TestWithParam<int64_t>
 TEST_P(DivisorProperty, DivisorsDivide)
 {
     int64_t n = GetParam();
-    auto divs = divisorsOf(n);
+    auto divs = divisorsUpTo(n, n);
     ASSERT_FALSE(divs.empty());
     EXPECT_EQ(divs.front(), 1);
     EXPECT_EQ(divs.back(), n);

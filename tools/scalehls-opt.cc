@@ -320,10 +320,7 @@ main(int argc, char **argv)
             }
             std::cerr << "DSE stats: ";
             result->stats.print(std::cerr);
-            std::cerr << "\nfinalized module "
-                      << (result->moduleReused ? "reused"
-                                               : "re-materialized")
-                      << ", QoR "
+            std::cerr << "\nfinalized module QoR "
                       << (result->qorVerified ? "verified" : "MISMATCH")
                       << "\n";
             dse_stats += result->stats;
